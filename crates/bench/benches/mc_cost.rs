@@ -103,10 +103,12 @@ fn bench_mc(c: &mut Criterion) {
         })
     });
 
-    // Heavier symmetric configuration, sequential vs parallel frontier
-    // (the thread cap is clamped to the machine's parallelism, so on a
-    // single-core host both rows take the deterministic path).
-    for threads in [1usize, 4] {
+    // Heavier symmetric configuration, sequential vs one worker per
+    // core (a single-core host runs the sequential row only).
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut rows = vec![1usize, cores];
+    rows.dedup();
+    for threads in rows {
         group.bench_function(format!("alg1_n3_m5_symmetry_t{threads}"), |b| {
             b.iter(|| {
                 let spec = MutexSpec::rw_unchecked(3, 5);

@@ -22,8 +22,8 @@
 //! Options:
 //!   --smoke          small CI grid (also capped max-states)
 //!   --deep           add the deep + n = 4 frontier points to a smoke run
-//!   --threads N      worker-thread cap (also honours AMX_MC_THREADS;
-//!                    default 1; the engine clamps to available cores)
+//!   --threads N      worker threads per point (default 1); exactly N
+//!                    run, so pick at most the machine's core count
 //!   --max-states N   canonical-state bound per point
 //!   --crashes K      add the crash-survival points: each algorithm's
 //!                    (3, m) configuration re-checked with a total
@@ -69,6 +69,8 @@
 //!                    checkpoints (verdict `interrupted`); the sweep
 //!                    then exits with code 86 so CI can rerun it with
 //!                    `--resume` and assert bit-identical counts
+//!   (--checkpoint-every, --resume and --halt-after-checkpoints need
+//!   --checkpoint-dir; without it the sweep exits with code 2)
 //!
 //! The JSON report (`BENCH_mc.json`) carries the perf trajectory the CI
 //! bench-smoke job tracks: aggregate states/second, the
@@ -138,7 +140,7 @@ struct OutOfCore {
     resident_budget: Option<usize>,
     spill_dir: Option<String>,
     checkpoint_dir: Option<String>,
-    checkpoint_every: u32,
+    checkpoint_every: Option<u32>,
     resume: bool,
     halt_after_checkpoints: Option<u32>,
 }
@@ -149,7 +151,7 @@ impl OutOfCore {
             resident_budget: None,
             spill_dir: None,
             checkpoint_dir: None,
-            checkpoint_every: 1,
+            checkpoint_every: None,
             resume: false,
             halt_after_checkpoints: None,
         }
@@ -237,7 +239,8 @@ fn parse_args() -> CliArgs {
             }
             "--checkpoint-every" => {
                 let v = args.next().expect("--checkpoint-every needs a value");
-                ooc.checkpoint_every = v.parse().expect("--checkpoint-every needs an integer");
+                ooc.checkpoint_every =
+                    Some(v.parse().expect("--checkpoint-every needs an integer"));
             }
             "--resume" => ooc.resume = true,
             "--halt-after-checkpoints" => {
@@ -252,6 +255,14 @@ fn parse_args() -> CliArgs {
                 std::process::exit(2);
             }
         }
+    }
+    if ooc.checkpoint_dir.is_none()
+        && (ooc.checkpoint_every.is_some() || ooc.resume || ooc.halt_after_checkpoints.is_some())
+    {
+        eprintln!(
+            "--checkpoint-every, --resume and --halt-after-checkpoints need --checkpoint-dir"
+        );
+        std::process::exit(2);
     }
     if opts.smoke {
         opts.max_states = opts.max_states.min(500_000);
@@ -440,8 +451,10 @@ where
     if let Some(dir) = &ooc.checkpoint_dir {
         mc = mc
             .checkpoint_dir(std::path::Path::new(dir).join(tag))
-            .checkpoint_every(ooc.checkpoint_every)
             .resume(ooc.resume);
+        if let Some(every) = ooc.checkpoint_every {
+            mc = mc.checkpoint_every(every);
+        }
         if let Some(k) = ooc.halt_after_checkpoints {
             mc = mc.halt_after_checkpoints(k);
         }

@@ -44,20 +44,20 @@
 //!   permutation) while still producing *concrete* witness schedules,
 //!   and reports the exact concrete state count alongside the canonical
 //!   one.
-//! * **Work-stealing parallel frontier** ([`mc::ModelChecker::threads`],
-//!   or the `AMX_MC_THREADS` environment variable) — breadth-first
-//!   levels run on per-worker deques with batch stealing over a striped
-//!   seen-set, and the pool is capped at the machine's available
-//!   parallelism.  Single-threaded remains the default so CI output and
-//!   witness schedules are deterministic; the verdict kind and all
-//!   counts are identical at any thread count (witness schedules stay
-//!   valid and shortest, but may differ among equally short
-//!   candidates).
+//! * **Work-stealing parallel frontier** ([`mc::ModelChecker::threads`])
+//!   — with several workers, breadth-first levels expand on per-worker
+//!   deques with batch stealing against the frozen seen-set shards,
+//!   then each worker drains its own shards' pending inserts (see
+//!   below).  Exactly the requested number of workers runs.
+//!   Single-threaded remains the default.  The verdict kind and, on
+//!   completing runs, all counts are identical at any thread count;
+//!   only the parallel SCC pass's component order can pick a different
+//!   (equally valid) livelock witness.
 //! * **O(states) memory, parallel SCC** — the deadlock-freedom pass
 //!   regenerates each completion-free successor exactly once into a
-//!   dense edge table (in parallel) and runs Tarjan or, on large
-//!   multi-worker runs, the trimmed forward–backward decomposition of
-//!   [`scc::parallel_sccs`] over it; no transition list is ever
+//!   dense edge table (in parallel) and runs Tarjan on one worker or
+//!   the trimmed forward–backward decomposition of
+//!   [`scc::parallel_sccs`] on several; no transition list is ever
 //!   buffered during exploration.
 //! * **Out-of-core exploration** — the seen set is hash-prefix-sharded
 //!   into worker-owned partitions (parallel levels expand against the

@@ -26,48 +26,44 @@
 //! The explorer stores each reachable node as one flat byte string (the
 //! [`crate::encode::EncodeState`] encoding of the memory slots plus all
 //! process phase/state pairs) inside interned [`crate::intern::StateArena`]
-//! stripes — no cloned `Vec<Slot>` per node and no cloned node per
+//! shards — no cloned `Vec<Slot>` per node and no cloned node per
 //! successor step (successors are generated into reused scratch
-//! buffers).  Three engine knobs exist beyond the state bound:
+//! buffers).  Beyond the state bound, the engine is configured by:
 //!
-//! * [`ModelChecker::symmetry`] — with [`Symmetry::Process`], each node
-//!   is canonicalized under the *process-symmetry group* before
-//!   interning: interchangeable processes (equal
-//!   [`Automaton::symmetry_class`] token and equal adversary
-//!   permutation) may be permuted, with their equality-only identities
-//!   relabeled consistently in every register slot via
-//!   [`amx_ids::codec::PidMap`].  With [`Symmetry::Wreath`] the group
-//!   is the memory's full *joint* symmetry group — pairs `(π, ρ)` of a
-//!   process permutation and a physical register relabeling that are
-//!   automorphisms of the adversary (`ρ ∘ f_i = f_{π(i)}`), enumerated
-//!   once per run by
-//!   [`amx_registers::automorphism::adversary_automorphisms`] — so the
+//! * [`ModelChecker::symmetry`] — every symmetry group comes from the
+//!   adversary's automorphisms, pairs `(π, ρ)` of a process permutation
+//!   and a physical register relabeling with `ρ ∘ f_i = f_{π(i)}`,
+//!   enumerated once per run by
+//!   [`amx_registers::automorphism::adversary_automorphisms`] and
+//!   restricted to processes with equal [`Automaton::symmetry_class`]
+//!   tokens.  [`Symmetry::Wreath`] takes the whole group, so the
 //!   reduction also bites on rotation/ring adversaries where no two
-//!   processes share a permutation.  The paper's algorithms are
-//!   symmetric by construction, so orbits collapse by up to the group
-//!   order and the stored state count drops accordingly.  Witness
-//!   schedules remain concrete: the group element used on each tree
-//!   edge is recorded, and parent chains are mapped back through the
+//!   processes share a permutation; [`Symmetry::Process`] keeps its
+//!   `ρ = id` subgroup (interchangeable processes share a permutation);
+//!   [`Symmetry::Off`] keeps the identity.  Each node is canonicalized
+//!   under the group before interning, with equality-only identities
+//!   relabeled consistently in every register slot via
+//!   [`amx_ids::codec::PidMap`].  The paper's algorithms are symmetric
+//!   by construction, so orbits collapse by up to the group order and
+//!   the stored state count drops accordingly.  Witness schedules
+//!   remain concrete: the group element used on each tree edge is
+//!   recorded, and parent chains are mapped back through the
 //!   accumulated permutation (`ρ` never appears in schedules — it only
 //!   relabels the register array).
-//! * [`ModelChecker::threads`] — each breadth-first level runs on
-//!   per-worker deques with batch work stealing over a striped
-//!   seen-set (one `parking_lot` lock per stripe); levels stay
-//!   synchronized, which is what keeps reported witnesses shortest,
-//!   but a worker that drains its deque steals the back half of a
-//!   peer's, so uneven canonicalization costs no longer stall the
-//!   end-of-level barrier.  The pool is capped at the machine's
-//!   available parallelism.  Single-threaded is the default so that
-//!   state numbering, counters, and witness schedules stay
-//!   byte-for-byte deterministic in CI; the `AMX_MC_THREADS`
-//!   environment variable overrides the default when no explicit
-//!   thread count is set.  The verdict kind and all counts are
-//!   thread-count independent on completing runs; witness schedules
-//!   are always valid and shortest, but may differ between runs with
-//!   more than one thread when several equally short witnesses tie.
-//! * [`ModelChecker::cross_check`] — debug mode: after a reduced run,
-//!   re-explores with [`Symmetry::Off`] and panics if the verdicts (or
-//!   the orbit accounting) diverge.
+//! * [`ModelChecker::threads`] — a run with `t > 1` workers keeps the
+//!   seen set in 64 hash-prefix shards and runs each breadth-first
+//!   level in two phases: work-stealing expansion against the frozen
+//!   shards, then exclusive per-owner drains of each shard's pending
+//!   inserts, sorted by `(frontier position, actor)`.  No lock guards
+//!   any intern path, and levels stay synchronized, which keeps
+//!   reported witnesses shortest.  Exactly `t` workers run; one worker
+//!   (the default) takes the sequential single-shard path.  The
+//!   verdict kind, and on completing runs every count, are identical at
+//!   any thread count, and so is the breadth-first tree, because drains
+//!   are sorted.  The one thread-dependent choice left is the SCC pass:
+//!   a multi-worker run decomposes with [`crate::scc::parallel_sccs`],
+//!   whose component order may pick a different (equally valid)
+//!   livelock witness than Tarjan's.
 //! * [`ModelChecker::progress`] — optional throttled live-progress
 //!   callback (states, exact concrete-orbit accounting, transitions).
 //! * [`ModelChecker::monitor`] — on-the-fly state predicates: fatal
@@ -81,15 +77,20 @@
 //!   somewhere/everywhere with a concrete witness schedule
 //!   ([`McReport::scc_queries`]), symmetry-expanding members for
 //!   non-orbit-invariant predicates.
+//! * out-of-core and crash options — [`ModelChecker::resident_budget`],
+//!   [`ModelChecker::spill_dir`], [`ModelChecker::checkpoint_dir`],
+//!   [`ModelChecker::checkpoint_every`], [`ModelChecker::resume`],
+//!   [`ModelChecker::halt_after_checkpoints`],
+//!   [`ModelChecker::crashes`] and [`ModelChecker::fault_plan`].
 //!
 //! The deadlock-freedom pass no longer buffers a transition list
 //! during exploration: after BFS, every completion-free successor is
 //! *regenerated* from the interned bytes exactly once into a dense
 //! `states × n` edge table (split across the worker pool), and the SCC
-//! decomposition — sequential Tarjan, or [`crate::scc::parallel_sccs`]
-//! on large multi-worker runs past [`ModelChecker::scc_threshold`] —
-//! runs over that table, so peak memory is O(states · n) rather than
-//! O(stored transitions) and no successor is regenerated twice.
+//! decomposition — sequential Tarjan on one worker,
+//! [`crate::scc::parallel_sccs`] on several — runs over that table, so
+//! peak memory is O(states · n) rather than O(stored transitions) and
+//! no successor is regenerated twice.
 //!
 //! With `Symmetry::Process` or `Symmetry::Wreath`, the fair-livelock
 //! check runs on the orbit quotient with fairness at the granularity of
@@ -441,8 +442,7 @@ pub struct McReport {
     /// How many times an idle frontier worker stole work from a peer
     /// (always zero single-threaded).
     pub steal_count: usize,
-    /// Requested worker-thread cap (the pool itself is additionally
-    /// clamped to the machine's available parallelism).
+    /// Worker threads the run used.
     pub threads: usize,
     /// Symmetry mode the run used.
     pub symmetry: Symmetry,
@@ -640,10 +640,7 @@ pub struct ModelChecker<A: Automaton> {
     mem0: SimMemory,
     max_states: usize,
     symmetry: Symmetry,
-    threads: Option<usize>,
-    cross_check: bool,
-    scc_threshold: usize,
-    oversubscribe: bool,
+    threads: usize,
     progress: Option<Arc<ProgressFn>>,
     monitors: Vec<Monitor<A::State>>,
     scc_queries: Vec<SccQuery<A::State>>,
@@ -665,9 +662,6 @@ impl<A: Automaton + std::fmt::Debug> std::fmt::Debug for ModelChecker<A> {
             .field("max_states", &self.max_states)
             .field("symmetry", &self.symmetry)
             .field("threads", &self.threads)
-            .field("cross_check", &self.cross_check)
-            .field("scc_threshold", &self.scc_threshold)
-            .field("oversubscribe", &self.oversubscribe)
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
             .field("monitors", &self.monitors)
             .field("scc_queries", &self.scc_queries)
@@ -681,24 +675,6 @@ impl<A: Automaton + std::fmt::Debug> std::fmt::Debug for ModelChecker<A> {
             .field("fault_plan", &self.fault_plan)
             .finish()
     }
-}
-
-/// Default node count below which the fair-livelock pass prefers
-/// sequential Tarjan over the parallel FW–BW decomposition even on
-/// multi-threaded runs (small graphs are not worth the worker pool).
-const DEFAULT_SCC_THRESHOLD: usize = 65_536;
-
-/// Caps a requested thread count at the machine's available
-/// parallelism: oversubscribing cores only adds context-switch and
-/// cache pressure, so the pool never exceeds the hardware (unless
-/// [`ModelChecker::oversubscribe`] disables the cap).
-fn effective_workers(threads: usize, oversubscribe: bool) -> usize {
-    let cap = if oversubscribe {
-        usize::MAX
-    } else {
-        std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get)
-    };
-    threads.min(cap).max(1)
 }
 
 impl<A: Automaton> ModelChecker<A> {
@@ -748,10 +724,7 @@ impl<A: Automaton> ModelChecker<A> {
             mem0: SimMemory::new(model, m, adversary, n)?,
             max_states: 2_000_000,
             symmetry: Symmetry::Off,
-            threads: None,
-            cross_check: false,
-            scc_threshold: DEFAULT_SCC_THRESHOLD,
-            oversubscribe: false,
+            threads: 1,
             progress: None,
             monitors: Vec::new(),
             scc_queries: Vec::new(),
@@ -781,57 +754,19 @@ impl<A: Automaton> ModelChecker<A> {
         self
     }
 
-    /// Sets the worker thread count explicitly.  Without this call the
-    /// count comes from the `AMX_MC_THREADS` environment variable, and
-    /// defaults to 1 (deterministic state numbering and witnesses).
-    /// The verdict kind and all counts are identical at any thread
-    /// count; with several threads, witness schedules may differ among
-    /// equally short candidates because seen-set insertion races pick
-    /// the breadth-first spanning tree.
-    ///
-    /// The count is a *cap*: the engine never spawns more compute
-    /// workers than the machine's available parallelism, because
-    /// oversubscribing cores only adds context-switch and cache
-    /// pressure (measured ~2× wall-time on a single-core host).  A run
-    /// whose effective pool is one worker takes the byte-for-byte
-    /// deterministic sequential path.
+    /// Sets the worker thread count (default 1; zero is treated as 1).
+    /// Exactly this many workers run, even past the machine's core
+    /// count.  One worker takes the sequential single-shard path and
+    /// decomposes SCCs with Tarjan; several explore the 64-shard layout
+    /// and decompose with the parallel FW–BW pass.  The verdict kind, and on completing runs
+    /// every count, are identical at any thread count, and so is the
+    /// breadth-first tree (owner drains are sorted by frontier position
+    /// and actor).  The one thread-dependent choice is FW–BW's
+    /// component order, which may report a different, equally valid
+    /// livelock witness than a one-worker run.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Debug mode: after a reduced ([`Symmetry::Process`] or
-    /// [`Symmetry::Wreath`]) run, re-explore with [`Symmetry::Off`] and
-    /// panic if the verdicts (or the orbit accounting) diverge.
-    /// Doubles the work; intended for tests.
-    #[must_use]
-    pub fn cross_check(mut self, on: bool) -> Self {
-        self.cross_check = on;
-        self
-    }
-
-    /// Disables the available-parallelism cap on the worker pool, so
-    /// `threads(t)` spawns exactly `t` workers even on a host with
-    /// fewer cores.  A correctness/test hook — the differential suite
-    /// uses it to drive the work-stealing frontier and the parallel
-    /// SCC pass regardless of the machine it runs on; production runs
-    /// should leave the cap alone (oversubscription measured ~2×
-    /// slower on a single-core host).
-    #[must_use]
-    pub fn oversubscribe(mut self, on: bool) -> Self {
-        self.oversubscribe = on;
-        self
-    }
-
-    /// Node count below which the fair-livelock pass uses sequential
-    /// Tarjan instead of the parallel FW–BW decomposition on
-    /// multi-threaded runs (single-threaded runs always use Tarjan for
-    /// byte-for-byte determinism).  Mainly a test hook: set 0 to force
-    /// the parallel path on tiny graphs.
-    #[must_use]
-    pub fn scc_threshold(mut self, threshold: usize) -> Self {
-        self.scc_threshold = threshold;
+        self.threads = threads.max(1);
         self
     }
 
@@ -889,9 +824,10 @@ impl<A: Automaton> ModelChecker<A> {
     /// Enables checkpointing: after each completed breadth-first level
     /// (subject to [`checkpoint_every`](Self::checkpoint_every)) the
     /// full exploration state — arenas, seen tables, BFS metadata,
-    /// frontier and monitor accumulators — is written atomically to
-    /// `<dir>/mc.ckpt`, and [`resume`](Self::resume) continues a killed
-    /// run from there bit-identically.
+    /// frontier and monitor accumulators — is written atomically to a
+    /// per-level file `<dir>/mc-<level:08>.ckpt` (the newest two levels
+    /// are kept), and [`resume`](Self::resume) continues a killed run
+    /// from the newest valid one bit-identically.
     #[must_use]
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
@@ -906,13 +842,14 @@ impl<A: Automaton> ModelChecker<A> {
         self
     }
 
-    /// Resume from the checkpoint in
+    /// Resume from the newest valid checkpoint in
     /// [`checkpoint_dir`](Self::checkpoint_dir) when one exists (a
     /// missing checkpoint starts from scratch).  The checkpoint records
     /// a fingerprint of the full configuration — automaton type,
     /// process/register counts, memory model, adversary, symmetry mode,
     /// monitors, shard layout — and resuming under any other
-    /// configuration panics rather than silently mixing state spaces.
+    /// configuration fails with [`McError::Checkpoint`] rather than
+    /// silently mixing state spaces.
     #[must_use]
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
@@ -955,18 +892,6 @@ impl<A: Automaton> ModelChecker<A> {
         self.fault_plan = Some(plan);
         self
     }
-
-    /// The requested thread cap (explicit, `AMX_MC_THREADS`, or 1).
-    fn effective_threads(&self) -> usize {
-        if let Some(t) = self.threads {
-            return t;
-        }
-        std::env::var("AMX_MC_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
-    }
 }
 
 impl<A: Automaton + Sync> ModelChecker<A>
@@ -982,40 +907,11 @@ where
     /// configured number of states are reachable, and the other
     /// [`McError`] variants on unrecoverable out-of-core I/O failures
     /// (recoverable ones degrade instead — see [`McReport::degraded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`cross_check`](Self::cross_check) is enabled and the
-    /// reduced and full explorations disagree.
     pub fn run(&self) -> Result<McReport, McError> {
-        let report = self.explore(self.symmetry)?;
-        if self.cross_check && self.symmetry != Symmetry::Off {
-            let full = self.explore(Symmetry::Off)?;
-            assert_eq!(
-                verdict_kind(&report.verdict),
-                verdict_kind(&full.verdict),
-                "symmetry cross-check: reduced verdict {:?} vs full verdict {:?}",
-                report.verdict,
-                full.verdict
-            );
-            if !matches!(
-                report.verdict,
-                Verdict::MutualExclusionViolation { .. } | Verdict::PropertyViolation { .. }
-            ) {
-                assert_eq!(
-                    report.full_states_estimate, full.states,
-                    "symmetry cross-check: orbit accounting diverged"
-                );
-            }
-        }
-        Ok(report)
-    }
-
-    fn explore(&self, symmetry: Symmetry) -> Result<McReport, McError> {
         let start = Instant::now();
         let m = self.mem0.m();
-        let threads = self.effective_threads();
-        let workers = effective_workers(threads, self.oversubscribe);
+        let symmetry = self.symmetry;
+        let workers = self.threads;
         let shard_bits: u32 = if workers == 1 { 0 } else { 6 };
         assert!(
             self.max_states < (u32::MAX >> shard_bits) as usize,
@@ -1041,13 +937,8 @@ where
             crashes: self.crashes,
             spill_error: Mutex::new(None),
         };
-        // Checkpointing binds to the *configured* run: the symmetry-off
-        // cross-check re-exploration must not touch the directory.
-        let ckpt_dir = self
-            .checkpoint_dir
-            .as_deref()
-            .filter(|_| symmetry == self.symmetry);
-        let fingerprint = self.fingerprint(symmetry, shard_bits);
+        let ckpt_dir = self.checkpoint_dir.as_deref();
+        let fingerprint = self.fingerprint(shard_bits);
 
         let mut scratch: Scratch<A::State> = Scratch::new(self.mem0.clone());
         let mut peak_frontier = 0usize;
@@ -1319,7 +1210,7 @@ where
             resumed_from_level,
             seen_table_bytes: store.table_bytes(),
             steal_count,
-            threads,
+            threads: workers,
             symmetry,
             monitors: Vec::new(),
             scc_queries: Vec::new(),
@@ -1380,7 +1271,7 @@ where
     /// layout.  Two runs with equal fingerprints explore the same state
     /// space in the same order, so a checkpoint from one continues
     /// bit-identically under the other.
-    fn fingerprint(&self, symmetry: Symmetry, shard_bits: u32) -> u64 {
+    fn fingerprint(&self, shard_bits: u32) -> u64 {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = write!(
@@ -1390,7 +1281,7 @@ where
             self.automata.len(),
             self.mem0.m(),
             self.mem0.model(),
-            symmetry,
+            self.symmetry,
             self.max_states,
             shard_bits,
             crate::intern::PAGE,
@@ -1437,11 +1328,10 @@ where
     /// for deleted completion edges); the SCC decomposition and the
     /// per-component fairness scan then run over that table instead of
     /// paying decode + step + canonicalize + lookup per algorithmic
-    /// probe.  The regeneration pass is split across `threads` workers;
-    /// graphs of at least [`ModelChecker::scc_threshold`] nodes on
-    /// multi-worker runs additionally use the parallel FW–BW
-    /// decomposition (sorted to a deterministic traversal order),
-    /// everything else sequential Tarjan.
+    /// probe.  The regeneration pass is split across `workers`;
+    /// multi-worker runs decompose with the parallel FW–BW pass (sorted
+    /// to a deterministic traversal order), one-worker runs with
+    /// sequential Tarjan.
     fn find_fair_livelock(
         &self,
         store: &Store,
@@ -1551,7 +1441,7 @@ where
         // scheduling order, so its output is normalized (components
         // sorted by least member) to keep the candidate scan — and
         // hence any reported witness — deterministic per thread count.
-        let sccs = if workers > 1 && n_states >= self.scc_threshold {
+        let sccs = if workers > 1 {
             let mut sccs = scc::parallel_sccs(n_states, n, &csr, workers);
             for c in &mut sccs {
                 c.sort_unstable();
@@ -2108,16 +1998,6 @@ fn phase_from_u8(b: u8) -> Option<Phase> {
     })
 }
 
-fn verdict_kind(v: &Verdict) -> &'static str {
-    match v {
-        Verdict::Ok => "ok",
-        Verdict::MutualExclusionViolation { .. } => "mutual-exclusion violation",
-        Verdict::FairLivelock { .. } => "fair livelock",
-        Verdict::PropertyViolation { .. } => "property violation",
-        Verdict::Interrupted { .. } => "interrupted",
-    }
-}
-
 /// Stamps the final wall clock and the spill accounting — the
 /// resident/spilled split and the fault/eviction totals, which keep
 /// advancing through the SCC and query passes — onto a finished report.
@@ -2158,122 +2038,39 @@ struct SymElem {
 
 /// Computes the symmetry group and the class id of every process.
 ///
-/// Under [`Symmetry::Process`], two processes share a class iff both
-/// declare the same `Some` [`Automaton::symmetry_class`] token *and*
-/// hold the same adversary permutation; processes declaring `None` are
-/// singletons.  Under [`Symmetry::Wreath`] the group is the adversary's
-/// automorphism group (computed by
-/// [`amx_registers::automorphism::adversary_automorphisms`]) restricted
-/// to class-compatible role maps, and a class is an orbit of processes
-/// under the group's `π`-components — the granularity at which the
-/// quotient's fairness pre-filter can distinguish processes.  With
-/// [`Symmetry::Off`] every process is a singleton and the group is
-/// trivial.
+/// Every group is built from the adversary's automorphisms — pairs
+/// `(π, ρ)` with `ρ ∘ f_i = f_{π(i)}`, enumerated identity first by
+/// [`amx_registers::automorphism::adversary_automorphisms`] — over
+/// class-compatible role maps (equal `Some`
+/// [`Automaton::symmetry_class`] tokens; `None` processes stay put).
+/// [`Symmetry::Wreath`] takes the whole group, [`Symmetry::Process`]
+/// the `ρ = id` subgroup (permutations of interchangeable processes
+/// sharing an adversary permutation), and [`Symmetry::Off`] the
+/// identity alone (all class tokens treated as `None`).  A class is an
+/// orbit of processes under the group's `π`-components — the
+/// granularity at which the quotient's fairness pre-filter can
+/// distinguish processes — numbered by first appearance.
 fn build_group<A: Automaton>(
     automata: &[A],
     mem0: &SimMemory,
     symmetry: Symmetry,
 ) -> (Vec<SymElem>, Vec<usize>) {
     let n = automata.len();
-    if symmetry == Symmetry::Wreath {
-        return build_wreath_group(automata, mem0);
-    }
-    let mut class_of = vec![usize::MAX; n];
-    let mut class_keys: Vec<Option<(u64, Vec<usize>)>> = Vec::new();
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for i in 0..n {
-        let key = match symmetry {
-            Symmetry::Off => None,
-            Symmetry::Process => automata[i]
-                .symmetry_class()
-                .map(|t| (t, mem0.permutation(i).as_slice().to_vec())),
-            Symmetry::Wreath => unreachable!("wreath groups are built above"),
-        };
-        let cid = key
-            .as_ref()
-            .and_then(|k| class_keys.iter().position(|ck| ck.as_ref() == Some(k)))
-            .unwrap_or_else(|| {
-                class_keys.push(key.clone());
-                classes.push(Vec::new());
-                // `None` keys must never merge: blank the stored key so
-                // the next opted-out process opens a fresh singleton.
-                if key.is_none() {
-                    *class_keys.last_mut().expect("just pushed") = None;
-                }
-                classes.len() - 1
-            });
-        class_of[i] = cid;
-        classes[cid].push(i);
-    }
-
-    // The group is the direct product of the symmetric groups on each
-    // class: enumerate it as a cartesian product of per-class
-    // reorderings.  The identity stays at index 0 because every
-    // per-class list starts with the unpermuted order.
-    let mut pis: Vec<Vec<usize>> = vec![(0..n).collect()];
-    for class in classes.iter().filter(|c| c.len() >= 2) {
-        // Reuse the registers crate's Heap's-algorithm enumeration
-        // (identity first), mapped onto the class members.
-        let reorderings: Vec<Vec<usize>> = amx_registers::all_permutations(class.len())
-            .iter()
-            .map(|p| p.as_slice().iter().map(|&i| class[i]).collect())
-            .collect();
-        let mut next = Vec::with_capacity(pis.len() * reorderings.len());
-        for pi in &pis {
-            for re in &reorderings {
-                let mut p = pi.clone();
-                for (pos, &member) in class.iter().enumerate() {
-                    p[member] = re[pos];
-                }
-                next.push(p);
-            }
+    let keys: Vec<Option<u64>> = match symmetry {
+        Symmetry::Off => vec![None; n],
+        Symmetry::Process | Symmetry::Wreath => {
+            automata.iter().map(Automaton::symmetry_class).collect()
         }
-        pis = next;
-    }
-    assert!(
-        pis.len() <= usize::from(u16::MAX),
-        "process-symmetry group too large ({} elements)",
-        pis.len()
-    );
-
-    let elems = pis
-        .into_iter()
-        .map(|pi| {
-            let mut pi_inv = vec![0usize; n];
-            for (i, &j) in pi.iter().enumerate() {
-                pi_inv[j] = i;
-            }
-            let pairs: Vec<_> = (0..n)
-                .filter(|&i| pi[i] != i)
-                .filter_map(|i| Some((automata[i].pid()?, automata[pi[i]].pid()?)))
-                .collect();
-            SymElem {
-                pi,
-                pi_inv,
-                map: PidMap::from_pairs(pairs),
-                rho_inv: Vec::new(),
-                regs: RegMap::identity(),
-            }
-        })
-        .collect();
-    (elems, class_of)
-}
-
-/// [`build_group`] for [`Symmetry::Wreath`]: enumerates the adversary's
-/// automorphism group (pairs `(π, ρ)` with `ρ ∘ f_i = f_{π(i)}`) and
-/// derives the process classes as the orbits of the `π`-components.
-fn build_wreath_group<A: Automaton>(
-    automata: &[A],
-    mem0: &SimMemory,
-) -> (Vec<SymElem>, Vec<usize>) {
-    let n = automata.len();
-    let keys: Vec<Option<u64>> = automata.iter().map(Automaton::symmetry_class).collect();
+    };
     let perms: Vec<amx_registers::Permutation> =
         (0..n).map(|i| mem0.permutation(i).clone()).collect();
-    let autos = amx_registers::adversary_automorphisms(&perms, &keys);
+    let mut autos = amx_registers::adversary_automorphisms(&perms, &keys);
+    if symmetry == Symmetry::Process {
+        autos.retain(|a| a.rho.is_identity());
+    }
     assert!(
         autos.len() <= usize::from(u16::MAX),
-        "wreath symmetry group too large ({} elements)",
+        "symmetry group too large ({} elements)",
         autos.len()
     );
 
@@ -2298,9 +2095,7 @@ fn build_wreath_group<A: Automaton>(
     let mut class_of = vec![usize::MAX; n];
     let mut next_class = 0usize;
     for i in 0..n {
-        // Path-compress through the min-root relation, then number the
-        // classes in first-appearance order (matching the Process-mode
-        // convention).
+        // Number the classes by first appearance of their min root.
         let r = root[i];
         if class_of[r] == usize::MAX {
             class_of[r] = next_class;
@@ -3758,11 +3553,7 @@ mod tests {
                 .unwrap()
         };
         let full = make().run().unwrap();
-        let reduced = make()
-            .symmetry(Symmetry::Process)
-            .cross_check(true)
-            .run()
-            .unwrap();
+        let reduced = make().symmetry(Symmetry::Process).run().unwrap();
         assert_eq!(reduced.verdict, Verdict::Ok);
         assert_eq!(full.verdict, Verdict::Ok);
         assert!(
@@ -3798,10 +3589,9 @@ mod tests {
     fn parallel_violation_is_shortest_and_replays() {
         use crate::runner::{Runner, Stop, Workload};
         use crate::schedule::Scheduler;
-        // With several threads, seen-set insertion races may pick a
-        // different (equally short) witness; the witness LENGTH and the
-        // verdict kind are thread-count invariants, and any reported
-        // schedule must replay to a real violation.
+        // The witness length and the verdict kind are thread-count
+        // invariants, and any reported schedule must replay to a real
+        // violation.
         let ids = PidPool::sequential().mint_many(2);
         let automata: Vec<NaiveFlagLock> = ids.iter().copied().map(NaiveFlagLock::new).collect();
         let seq =
@@ -3875,19 +3665,44 @@ mod tests {
         );
     }
 
+    /// Runs `make()` under `symmetry` and unreduced; the verdict kinds
+    /// must agree and the reduced run's orbit accounting must reproduce
+    /// the concrete state count.  Returns the reduced report.
+    fn agrees_with_off<A: Automaton + Sync>(
+        make: impl Fn() -> ModelChecker<A>,
+        symmetry: Symmetry,
+    ) -> McReport
+    where
+        A::State: EncodeState + Send,
+    {
+        let reduced = make().symmetry(symmetry).run().unwrap();
+        let full = make().run().unwrap();
+        assert_eq!(
+            std::mem::discriminant(&reduced.verdict),
+            std::mem::discriminant(&full.verdict),
+            "reduced verdict {:?} vs full verdict {:?}",
+            reduced.verdict,
+            full.verdict
+        );
+        assert_eq!(
+            reduced.full_states_estimate, full.states,
+            "orbit accounting diverged"
+        );
+        reduced
+    }
+
     #[test]
     fn spinners_livelock_under_symmetry_too() {
-        let report = ModelChecker::with_automata(
-            vec![SpinForever, SpinForever],
-            MemoryModel::Rw,
-            1,
-            &Adversary::Identity,
-        )
-        .unwrap()
-        .symmetry(Symmetry::Process)
-        .cross_check(true)
-        .run()
-        .unwrap();
+        let make = || {
+            ModelChecker::with_automata(
+                vec![SpinForever, SpinForever],
+                MemoryModel::Rw,
+                1,
+                &Adversary::Identity,
+            )
+            .unwrap()
+        };
+        let report = agrees_with_off(make, Symmetry::Process);
         match report.verdict {
             Verdict::FairLivelock { pending, .. } => assert_eq!(pending, vec![0, 1]),
             other => panic!("expected livelock, got {other:?}"),
@@ -3937,6 +3752,119 @@ mod tests {
         assert!(wreath.iter().all(|e| pis_p.contains(&e.pi)));
     }
 
+    /// Spins forever like [`SpinForever`] but declares the given
+    /// symmetry-class token (`None` opts out of every reduction).
+    #[derive(Debug, Clone)]
+    struct Token(Option<u64>);
+
+    impl Automaton for Token {
+        type State = crate::toys::SpinState;
+        fn init_state(&self) -> Self::State {
+            SpinForever.init_state()
+        }
+        fn start_lock(&self, state: &mut Self::State) {
+            SpinForever.start_lock(state);
+        }
+        fn start_unlock(&self, state: &mut Self::State) {
+            SpinForever.start_unlock(state);
+        }
+        fn step<M: crate::mem::MemoryOps + ?Sized>(
+            &self,
+            state: &mut Self::State,
+            mem: &mut M,
+        ) -> Outcome {
+            SpinForever.step(state, mem)
+        }
+        fn symmetry_class(&self) -> Option<u64> {
+            self.0
+        }
+    }
+
+    /// The merged builder's contract on one configuration: the Process
+    /// group is exactly the `ρ = id` part of the Wreath group, of order
+    /// ∏ |class|! over the (class token, permutation) classes, with the
+    /// identity first and `class_of` numbering those classes by first
+    /// appearance; the Off group is the identity alone.
+    fn check_process_subgroup<A: Automaton>(automata: &[A], mem: &SimMemory) {
+        let n = automata.len();
+        let mut keys: Vec<Option<(u64, Vec<usize>)>> = Vec::new();
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut expected = Vec::with_capacity(n);
+        for (i, a) in automata.iter().enumerate() {
+            let key = a
+                .symmetry_class()
+                .map(|t| (t, mem.permutation(i).as_slice().to_vec()));
+            let found = key
+                .as_ref()
+                .and_then(|k| keys.iter().position(|x| x.as_ref() == Some(k)));
+            let cid = found.unwrap_or_else(|| {
+                keys.push(key);
+                sizes.push(0);
+                keys.len() - 1
+            });
+            sizes[cid] += 1;
+            expected.push(cid);
+        }
+        let (process, class_of) = build_group(automata, mem, Symmetry::Process);
+        let (wreath, _) = build_group(automata, mem, Symmetry::Wreath);
+        assert_eq!(class_of, expected, "classes by first appearance");
+        let order: usize = sizes.iter().map(|&k| (1..=k).product::<usize>()).product();
+        assert_eq!(process.len(), order, "∏ |class|!");
+        let id = &process[0];
+        assert!(id.pi.iter().enumerate().all(|(i, &v)| i == v));
+        assert!(id.rho_inv.is_empty() && id.map.is_identity());
+        assert!(process.iter().all(|e| e.rho_inv.is_empty()));
+        let rho_id_pis = |g: &[SymElem]| -> Vec<Vec<usize>> {
+            g.iter()
+                .filter(|e| e.rho_inv.is_empty())
+                .map(|e| e.pi.clone())
+                .collect()
+        };
+        assert_eq!(rho_id_pis(&process), rho_id_pis(&wreath));
+        let (off, off_classes) = build_group(automata, mem, Symmetry::Off);
+        assert_eq!(off.len(), 1);
+        assert_eq!(off_classes, (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn process_group_is_the_rho_identity_subgroup_of_wreath() {
+        use amx_registers::Permutation;
+        let cas = |n: usize| -> Vec<CasLock> {
+            PidPool::sequential()
+                .mint_many(n)
+                .into_iter()
+                .map(CasLock::new)
+                .collect()
+        };
+        let mem = |m: usize, adv: &Adversary, n: usize| {
+            SimMemory::new(MemoryModel::Rmw, m, adv, n).unwrap()
+        };
+        // Identity adversary at n = 3: S_3.
+        check_process_subgroup(&cas(3), &mem(1, &Adversary::Identity, 3));
+        // 2 + 1: two processes share a permutation, the third differs.
+        let shared = Adversary::explicit(vec![
+            Permutation::identity(3),
+            Permutation::identity(3),
+            Permutation::rotation(3, 1),
+        ]);
+        check_process_subgroup(&cas(3), &mem(3, &shared, 3));
+        // Peterson: per-side class tokens, never interchangeable.
+        let mut pool = PidPool::sequential();
+        let peterson = vec![
+            crate::toys::PetersonTwo::new(pool.mint(), 0),
+            crate::toys::PetersonTwo::new(pool.mint(), 1),
+        ];
+        check_process_subgroup(&peterson, &mem(3, &Adversary::Identity, 2));
+        // Random permutations per process.
+        check_process_subgroup(&cas(3), &mem(3, &Adversary::Random(7), 3));
+        // Rotations: the wreath group Z_3 has ρ ≠ id, Process keeps none.
+        let rotations = Adversary::Rotations { stride: 1 };
+        check_process_subgroup(&cas(3), &mem(3, &rotations, 3));
+        // `None` tokens stay singletons beside a shared `Some` class.
+        let tokens = [Some(0), None, Some(0), None].map(Token);
+        check_process_subgroup(&tokens, &mem(1, &Adversary::Identity, 4));
+    }
+
     #[test]
     fn wreath_group_bites_on_rotation_adversaries() {
         // Rotations with distinct permutations: process-only reduction
@@ -3958,19 +3886,17 @@ mod tests {
     #[test]
     fn wreath_reduction_on_rotations_agrees_with_full_and_shrinks() {
         // The smallest genuinely wreath-only configuration: spinners on
-        // a rotated memory.  Cross-check re-explores exactly and panics
-        // on any verdict or orbit-accounting divergence.
-        let report = ModelChecker::with_automata(
-            vec![SpinForever, SpinForever, SpinForever],
-            MemoryModel::Rw,
-            3,
-            &Adversary::Rotations { stride: 1 },
-        )
-        .unwrap()
-        .symmetry(Symmetry::Wreath)
-        .cross_check(true)
-        .run()
-        .unwrap();
+        // a rotated memory, checked against the exact exploration.
+        let make = || {
+            ModelChecker::with_automata(
+                vec![SpinForever, SpinForever, SpinForever],
+                MemoryModel::Rw,
+                3,
+                &Adversary::Rotations { stride: 1 },
+            )
+            .unwrap()
+        };
+        let report = agrees_with_off(make, Symmetry::Wreath);
         match report.verdict {
             Verdict::FairLivelock { ref pending, .. } => assert_eq!(pending, &vec![0, 1, 2]),
             ref other => panic!("expected livelock, got {other:?}"),

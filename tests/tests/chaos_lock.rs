@@ -10,20 +10,25 @@
 //!   sections — a doorway holds no application state.
 //! * **`hard_crash` = StaleClaims.**  Hard-dropping a participant leaves
 //!   its claims in memory, exactly the model's `CrashMode::StaleClaims`.
-//!   For Algorithm 2 the model checker proves deadlock-freedom survives
-//!   a stale crash outside the CS majority (survivors out-claim the
-//!   ghost); the threaded stress here must observe the same progress.
-//!   For Algorithm 1 a stale claim *can* block survivors forever (the
-//!   model's crash-stale fair-livelock finding), so no Alg 1 stale-crash
-//!   progress is asserted — that asymmetry is the point.
+//!   Stale claims can block survivors forever, for both algorithms: the
+//!   model's `crash-stale` points are `fair-livelock`.  An Algorithm 2
+//!   survivor that resigns (lines 6–7) then waits in lines 8–10 for an
+//!   all-⊥ pass the ghost's claims never allow, and a 2–2 split beside
+//!   a one-register ghost never resigns and never reaches a majority.
+//!   So under `hard_crash` the stress asserts mutual exclusion on every
+//!   entry and bounded stale claims, never progress.  Progress of every
+//!   survivor is asserted only where the ghost's claims are erased (a
+//!   mid-doorway drop, the `crash-wipe` twin, verdict `ok`), and for a
+//!   single survivor beside a one-register ghost, which still
+//!   assembles a majority.
 //! * **Backoff is waiting strategy only.**  Every `Backoff` policy must
 //!   preserve mutual exclusion and per-thread completion under
 //!   contention; only latency may differ.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use amx_core::lock::BuildLock;
+use amx_core::lock::{BuildLock, Participant};
 use amx_core::threaded::{RmwAnonLock, RwAnonLock};
 use amx_core::{AmxLock, Backoff, MutexSpec};
 use amx_registers::Adversary;
@@ -119,43 +124,94 @@ fn hard_crash_leaves_stale_claims_without_poisoning() {
     );
 }
 
-/// Threaded stress: one process hard-crashes mid-doorway while the
-/// survivors keep hammering Algorithm 2; every survivor completes its
-/// cycles and mutual exclusion holds throughout.
-#[test]
-fn alg2_survivors_progress_past_a_mid_doorway_crash() {
-    let spec = MutexSpec::rmw(3, 5).unwrap();
-    let lock = RmwAnonLock::new(spec);
-    let mut parts = lock.participants(&Adversary::Random(11)).unwrap();
-    let crasher = parts.remove(0);
-    let crasher_pid = crasher.pid();
+/// Hammers the lock from every survivor, asserting no overlap on each
+/// entry.  Each survivor acquires at most `cycles` times, with
+/// `try_lock_for` bounded by the shared `deadline` when one is given
+/// (blocking `lock()` otherwise).  Returns the total number of entries.
+fn hammer(parts: Vec<Participant>, cycles: u64, deadline: Option<Instant>) -> u64 {
     let in_cs = AtomicU64::new(0);
     let entries = AtomicU64::new(0);
     std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut crasher = crasher;
-            // Step partway into the doorway, then die hard.
-            let _ = crasher.try_lock_steps(2);
-            crasher.hard_crash();
-        });
         for mut p in parts {
             let (in_cs, entries) = (&in_cs, &entries);
             s.spawn(move || {
-                for _ in 0..200 {
-                    let g = p.lock();
+                for _ in 0..cycles {
+                    let guard = match deadline {
+                        None => p.lock(),
+                        Some(d) => {
+                            let left = d.saturating_duration_since(Instant::now());
+                            match p.try_lock_for(left) {
+                                Some(g) => g,
+                                None => break,
+                            }
+                        }
+                    };
                     assert_eq!(in_cs.fetch_add(1, Ordering::SeqCst), 0, "overlap!");
                     entries.fetch_add(1, Ordering::Relaxed);
                     in_cs.fetch_sub(1, Ordering::SeqCst);
-                    drop(g);
+                    drop(guard);
                 }
             });
         }
     });
+    entries.into_inner()
+}
+
+/// Threaded stress: one process is dropped mid-doorway — its claims
+/// auto-withdraw, the threaded `WipeRegisters` — while the survivors
+/// keep hammering Algorithm 2; every survivor completes its cycles and
+/// mutual exclusion holds throughout.
+#[test]
+fn alg2_survivors_progress_past_a_mid_doorway_drop() {
+    let spec = MutexSpec::rmw(3, 5).unwrap();
+    let lock = RmwAnonLock::new(spec);
+    let mut parts = lock.participants(&Adversary::Random(11)).unwrap();
+    let mut ghost = parts.remove(0);
+    let ghost_pid = ghost.pid();
+    let entries = std::thread::scope(|s| {
+        s.spawn(move || {
+            // Step partway into the doorway, then drop: auto-withdraw.
+            let _ = ghost.try_lock_steps(2);
+            drop(ghost);
+        });
+        hammer(parts, 200, None)
+    });
     assert_eq!(
-        entries.load(Ordering::Relaxed),
-        400,
-        "both survivors must complete despite the stale crash"
+        entries, 400,
+        "both survivors must complete once the ghost's claims are erased"
     );
+    assert!(!lock.is_poisoned());
+    assert!(
+        lock.memory()
+            .observe_all()
+            .iter()
+            .all(|s| !s.is_owned_by(ghost_pid)),
+        "a dropped doorway leaves no claims"
+    );
+}
+
+/// Threaded stress: one process hard-crashes mid-doorway while the
+/// survivors keep trying Algorithm 2.  Its stale claims may livelock
+/// the survivors (the model's `crash-stale` verdict), so each
+/// acquisition is a `try_lock_for` inside a fixed total deadline and
+/// only safety is asserted: no overlap on any entry, no poisoning, and
+/// at most two stale claims.
+#[test]
+fn alg2_hard_crash_keeps_exclusion_among_survivors() {
+    let spec = MutexSpec::rmw(3, 5).unwrap();
+    let lock = RmwAnonLock::new(spec);
+    let mut parts = lock.participants(&Adversary::Random(11)).unwrap();
+    let mut crasher = parts.remove(0);
+    let crasher_pid = crasher.pid();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            // Step partway into the doorway, then die hard.
+            let _ = crasher.try_lock_steps(2);
+            crasher.hard_crash();
+        });
+        hammer(parts, 200, Some(deadline));
+    });
     assert!(!lock.is_poisoned());
     // Whatever the crasher claimed in its two steps is still claimed.
     let stale = lock

@@ -8,7 +8,7 @@
 //! * the verdict kind is thread-count independent everywhere; state
 //!   counts, transition counts, and the orbit accounting additionally
 //!   so on completing (non-violating) runs;
-//! * forcing the parallel SCC decomposition (`scc_threshold(0)`) never
+//! * the parallel SCC decomposition every multi-worker run uses never
 //!   changes a verdict kind, and reported witnesses stay valid;
 //! * the compressed arena reports strictly fewer record bytes per
 //!   state than the raw encodings it replaced.
@@ -36,8 +36,8 @@ fn alg2_automata(n: usize, m: usize) -> Vec<Alg2Automaton> {
         .collect()
 }
 
-/// Runs the same configuration sequentially, multi-threaded, and
-/// multi-threaded with the parallel SCC pass forced, under both
+/// Runs the same configuration sequentially and on 2, 3 and 4 workers
+/// (the sharded frontier plus the parallel SCC pass), under both
 /// symmetry modes; checks the differential contract and returns the
 /// sequential reduced report for extra assertions.
 fn engine_differential<A, F>(make: F, model: MemoryModel, m: usize) -> McReport
@@ -46,31 +46,25 @@ where
     A::State: EncodeState + Send,
     F: Fn() -> Vec<A>,
 {
-    let run = |symmetry: Symmetry, threads: usize, force_par_scc: bool| {
-        let mut mc = ModelChecker::with_automata(make(), model, m, &Adversary::Identity)
+    let run = |symmetry: Symmetry, threads: usize| {
+        ModelChecker::with_automata(make(), model, m, &Adversary::Identity)
             .unwrap()
             .max_states(4_000_000)
             .symmetry(symmetry)
             .threads(threads)
-            // The pool is normally clamped to available cores; lift the
-            // clamp so the work-stealing frontier and the parallel SCC
-            // pass genuinely run even on a single-core test host.
-            .oversubscribe(threads > 1);
-        if force_par_scc {
-            mc = mc.scc_threshold(0);
-        }
-        mc.run().unwrap()
+            .run()
+            .unwrap()
     };
     let mut reduced_seq = None;
     for symmetry in [Symmetry::Off, Symmetry::Process] {
-        let seq = run(symmetry, 1, false);
-        for (threads, force) in [(4, false), (4, true), (3, true)] {
-            let par = run(symmetry, threads, force);
+        let seq = run(symmetry, 1);
+        for threads in [2, 3, 4] {
+            let par = run(symmetry, threads);
             assert_eq!(
                 std::mem::discriminant(&seq.verdict),
                 std::mem::discriminant(&par.verdict),
-                "verdict kind diverged (symmetry {symmetry:?}, threads {threads}, \
-                 forced-par-scc {force}): {:?} vs {:?}",
+                "verdict kind diverged (symmetry {symmetry:?}, threads {threads}): \
+                 {:?} vs {:?}",
                 seq.verdict,
                 par.verdict
             );
@@ -157,10 +151,10 @@ fn algorithms_parallel_engine_differential() {
 
 #[test]
 fn forced_parallel_scc_livelock_witness_replays() {
-    // A livelock found with the parallel SCC decomposition forced on
-    // must still carry a valid witness: replaying it concretely is a
-    // legal, violation-free execution that completes no workload (it
-    // leads into a completion-free component).
+    // A livelock found by the parallel SCC decomposition of a
+    // multi-worker run must still carry a valid witness: replaying it
+    // concretely is a legal, violation-free execution that completes no
+    // workload (it leads into a completion-free component).
     use amx_sim::{Runner, Scheduler, Stop, Workload};
     let automata = alg1_automata(2, 2);
     let report =
@@ -168,8 +162,6 @@ fn forced_parallel_scc_livelock_witness_replays() {
             .unwrap()
             .symmetry(Symmetry::Process)
             .threads(4)
-            .oversubscribe(true)
-            .scc_threshold(0)
             .run()
             .unwrap();
     let Verdict::FairLivelock {
@@ -226,8 +218,8 @@ fn compressed_arena_beats_raw_encodings() {
 #[test]
 fn steal_counter_is_consistent() {
     // steal_count is zero on sequential runs; on multi-worker runs it
-    // is machine-dependent (the pool is clamped to available cores),
-    // so only the sequential invariant is asserted exactly.
+    // depends on thread scheduling, so only the sequential invariant
+    // is asserted exactly.
     let seq = ModelChecker::with_automata(
         alg2_automata(2, 3),
         MemoryModel::Rmw,

@@ -107,10 +107,7 @@ where
                 .unwrap()
                 .max_states(2_000_000)
                 .symmetry(symmetry)
-                .threads(threads)
-                // Lift the single-core clamp so the sharded path
-                // genuinely runs multi-worker on any test host.
-                .oversubscribe(threads > 1);
+                .threads(threads);
             if let Some(bytes) = budget {
                 mc = mc.resident_budget(bytes);
             }

@@ -338,27 +338,17 @@ fn reduced_livelock_witness_replays_without_violation() {
 }
 
 #[test]
-fn engine_cross_check_mode_passes_on_the_algorithms() {
-    // The built-in debug cross-check re-explores unreduced and panics on
-    // divergence; it must stay silent on both algorithms.
+fn process_reduction_agrees_on_the_algorithms_at_n2_m3() {
+    // Both algorithms at (2, 3) under the identity and a random
+    // adversary: the reduced run must match the unreduced one.
     for adv in [Adversary::Identity, Adversary::Random(5)] {
-        ModelChecker::with_automata(alg2_automata(2, 3), MemoryModel::Rmw, 3, &adv)
-            .unwrap()
-            .symmetry(Symmetry::Process)
-            .cross_check(true)
-            .run()
-            .unwrap();
-        ModelChecker::with_automata(
-            alg1_automata(2, 3, FreeSlotPolicy::FirstFree),
+        differential(|| alg2_automata(2, 3), MemoryModel::Rmw, 3, &adv);
+        differential(
+            || alg1_automata(2, 3, FreeSlotPolicy::FirstFree),
             MemoryModel::Rw,
             3,
             &adv,
-        )
-        .unwrap()
-        .symmetry(Symmetry::Process)
-        .cross_check(true)
-        .run()
-        .unwrap();
+        );
     }
 }
 
