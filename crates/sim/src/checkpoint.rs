@@ -3,9 +3,13 @@
 //! A checkpoint captures everything the exploration loop needs to
 //! continue from a completed breadth-first level bit-identically: the
 //! per-shard interned arenas (via the spill-invariant
-//! [`StateArena`] snapshot format) and BFS-tree metadata, the pending
-//! frontier (as global ids — the bytes are rematerialized from the
-//! arenas on load), the global counters, and the monitor accumulators.
+//! [`StateArena`] snapshot format) and BFS-tree metadata, the livelock
+//! edge table, the pending frontier (as global ids — the bytes are
+//! rematerialized from the arenas on load), the global counters, and
+//! the monitor accumulators.  A 64-bit [`Digest`] of every preceding
+//! byte ends the file; resume checks it in one streaming pass before
+//! parsing anything, so a flipped bit anywhere is caught before a
+//! corrupt length field can size an allocation.
 //!
 //! Each completed level is written to its own file
 //! (`mc-<level:08>.ckpt`) atomically (`.tmp` + rename), and the newest
@@ -27,15 +31,15 @@
 //! the on-disk outcome of a power cut before the data became durable.
 
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::FaultPlan;
-use crate::intern::{read_u64, write_u64, StateArena};
-use crate::mc::{MonitorHit, NodeMeta, Shard};
+use crate::intern::{read_u64, write_u64, Digest, StateArena};
+use crate::mc::{EdgeRows, MonitorHit, NodeMeta, Shard};
 
 /// Format magic; bump the trailing digit on layout changes.
-const MAGIC: &[u8; 8] = b"AMXCKPT1";
+const MAGIC: &[u8; 8] = b"AMXCKPT2";
 /// How many newest per-level checkpoint files survive a write.
 const RETAIN: usize = 2;
 
@@ -85,6 +89,7 @@ pub(crate) struct Snapshot<'a> {
     /// The next frontier; only the global ids are persisted.
     pub(crate) frontier: &'a [(u32, Box<[u8]>)],
     pub(crate) shards: &'a [Shard],
+    pub(crate) rows: &'a EdgeRows,
 }
 
 /// Owned exploration state read back from a checkpoint.
@@ -98,6 +103,9 @@ pub(crate) struct Restored {
     /// Frontier global ids; bytes are rematerialized by the caller.
     pub(crate) frontier: Vec<u32>,
     pub(crate) shards: Vec<Shard>,
+    /// The livelock edge table ([`EdgeRows`]) and its group elements.
+    pub(crate) edges: Vec<u32>,
+    pub(crate) sigmas: Vec<u16>,
 }
 
 /// Writes `snap` to `<dir>/mc-<level>.ckpt` atomically, then prunes
@@ -114,7 +122,7 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
     fs::create_dir_all(dir)?;
     let name = file_name(snap.level);
     let tmp = dir.join(format!("{name}.tmp"));
-    let mut w = BufWriter::new(File::create(&tmp)?);
+    let mut w = BufWriter::new(DigestWriter::new(File::create(&tmp)?));
     w.write_all(MAGIC)?;
     write_u64(&mut w, snap.fingerprint)?;
     write_u64(&mut w, u64::from(snap.level))?;
@@ -150,8 +158,18 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
             write_u64(&mut w, packed)?;
         }
     }
-    w.flush()?;
-    let file = w.into_inner().map_err(|e| e.into_error())?;
+    write_u64(&mut w, snap.rows.edges.len() as u64)?;
+    for e in &snap.rows.edges {
+        w.write_all(&e.to_le_bytes())?;
+    }
+    write_u64(&mut w, snap.rows.sigmas.len() as u64)?;
+    for s in &snap.rows.sigmas {
+        w.write_all(&s.to_le_bytes())?;
+    }
+    let mut dw = w.into_inner().map_err(|e| e.into_error())?;
+    let digest = dw.digest.finish();
+    write_u64(&mut dw.inner, digest)?;
+    let file = dw.inner;
     file.sync_all()?;
     if plan.and_then(FaultPlan::on_checkpoint_rename).is_some() {
         // Torn rename: half the payload never became durable, but the
@@ -208,11 +226,48 @@ pub(crate) fn load_latest(
     Ok((None, skipped))
 }
 
-/// Parses one checkpoint file, classifying failures.
+/// A writer that also feeds every byte it passes on into a [`Digest`].
+struct DigestWriter<W> {
+    inner: W,
+    digest: Digest,
+}
+
+impl<W> DigestWriter<W> {
+    fn new(inner: W) -> Self {
+        DigestWriter {
+            inner,
+            digest: Digest::new(),
+        }
+    }
+}
+
+impl<W: Write> Write for DigestWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.digest.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Parses one checkpoint file, classifying failures.  The trailing
+/// digest is checked first, so every later failure is a file written
+/// by this format's writer.
 fn parse_file(path: &Path, fingerprint: u64) -> Result<Restored, LoadFail> {
     let corrupt = LoadFail::Corrupt;
-    let file = File::open(path).map_err(corrupt)?;
-    let mut r = BufReader::new(file);
+    let mut file = File::open(path).map_err(corrupt)?;
+    let body = file.metadata().map_err(corrupt)?.len().saturating_sub(8);
+    let mut check = DigestWriter::new(io::sink());
+    if io::copy(&mut (&mut file).take(body), &mut check).map_err(corrupt)? != body
+        || read_u64(&mut file).map_err(corrupt)? != check.digest.finish()
+    {
+        return Err(corrupt(bad_data("checkpoint digest mismatch")));
+    }
+    file.seek(SeekFrom::Start(0)).map_err(corrupt)?;
+    let mut r = BufReader::new(file.take(body));
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic).map_err(corrupt)?;
     if magic != *MAGIC {
@@ -249,13 +304,7 @@ fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
         };
         monitor_hits.push(MonitorHit { count, best });
     }
-    let n_frontier = read_len(r, "frontier length")?;
-    let mut frontier = Vec::with_capacity(n_frontier);
-    let mut b4 = [0u8; 4];
-    for _ in 0..n_frontier {
-        r.read_exact(&mut b4)?;
-        frontier.push(u32::from_le_bytes(b4));
-    }
+    let frontier = read_vec(r, "frontier length", u32::from_le_bytes)?;
     let n_shards = read_len(r, "shard count")?;
     let mut shards = Vec::with_capacity(n_shards);
     for _ in 0..n_shards {
@@ -275,6 +324,8 @@ fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
         }
         shards.push(Shard { arena, meta });
     }
+    let edges = read_vec(r, "edge table", u32::from_le_bytes)?;
+    let sigmas = read_vec(r, "edge sigmas", u16::from_le_bytes)?;
     // Trailing garbage means a torn or foreign file — refuse it.
     if r.read(&mut [0u8; 1])? != 0 {
         return Err(bad_data("trailing bytes after checkpoint payload"));
@@ -288,6 +339,8 @@ fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
         monitor_hits,
         frontier,
         shards,
+        edges,
+        sigmas,
     })
 }
 
@@ -297,6 +350,22 @@ fn read_u32_checked(r: &mut impl Read, what: &str) -> io::Result<u32> {
 
 fn read_len(r: &mut impl Read, what: &str) -> io::Result<usize> {
     usize::try_from(read_u64(r)?).map_err(|_| bad_data(what))
+}
+
+/// Reads a length-prefixed array of little-endian `N`-byte values.
+fn read_vec<T, const N: usize>(
+    r: &mut impl Read,
+    what: &str,
+    from_le: fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let len = read_len(r, what)?;
+    let mut out = Vec::with_capacity(len);
+    let mut b = [0u8; N];
+    for _ in 0..len {
+        r.read_exact(&mut b)?;
+        out.push(from_le(b));
+    }
+    Ok(out)
 }
 
 fn bad_data(what: &str) -> io::Error {

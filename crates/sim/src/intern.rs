@@ -155,7 +155,13 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
         h ^= word;
         h = h.wrapping_mul(FNV_PRIME);
     }
-    for &b in chunks.remainder() {
+    hash_finish(h, chunks.remainder())
+}
+
+/// The byte-at-a-time tail and final fold of [`hash_bytes`].
+#[inline]
+fn hash_finish(mut h: u64, tail: &[u8]) -> u64 {
+    for &b in tail {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
@@ -168,6 +174,55 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     h ^= h >> 32;
     h = h.wrapping_mul(FNV_PRIME);
     h ^ (h >> 32)
+}
+
+/// [`hash_bytes`] over a byte stream: feeding a byte string in pieces
+/// of any size yields the hash of the whole string.  Every step of the
+/// hash is a bijection of its state, so two streams of equal length
+/// that differ in a single bit always hash differently — what makes it
+/// a corruption digest for checkpoint files.
+#[derive(Debug)]
+pub(crate) struct Digest {
+    h: u64,
+    /// Bytes of the current, incomplete 8-byte word.
+    tail: [u8; 8],
+    tail_len: usize,
+}
+
+impl Digest {
+    pub(crate) fn new() -> Self {
+        Digest {
+            h: FNV_OFFSET,
+            tail: [0; 8],
+            tail_len: 0,
+        }
+    }
+
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        if self.tail_len > 0 {
+            let take = (8 - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.h = (self.h ^ u64::from_le_bytes(self.tail)).wrapping_mul(FNV_PRIME);
+            self.tail_len = 0;
+        }
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            self.h = (self.h ^ word).wrapping_mul(FNV_PRIME);
+        }
+        let rest = chunks.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        hash_finish(self.h, &self.tail[..self.tail_len])
+    }
 }
 
 /// The original byte-at-a-time FNV-1a, kept as the reference the
@@ -1401,6 +1456,19 @@ mod tests {
         a[44] = 1;
         b[44] = 2;
         assert_ne!(hash_bytes(&a) as u32, hash_bytes(&b) as u32);
+    }
+
+    #[test]
+    fn digest_of_any_split_equals_hash_bytes() {
+        let data: Vec<u8> = (0..61u8).map(|i| i.wrapping_mul(37)).collect();
+        for split in [1usize, 3, 7, 8, 9, 16, 61] {
+            let mut d = Digest::new();
+            for piece in data.chunks(split) {
+                d.update(piece);
+            }
+            assert_eq!(d.finish(), hash_bytes(&data), "pieces of {split}");
+        }
+        assert_eq!(Digest::new().finish(), hash_bytes(&[]));
     }
 
     #[test]

@@ -53,12 +53,12 @@
 //!   completing runs, all counts are identical at any thread count;
 //!   only the parallel SCC pass's component order can pick a different
 //!   (equally valid) livelock witness.
-//! * **O(states) memory, parallel SCC** — the deadlock-freedom pass
-//!   regenerates each completion-free successor exactly once into a
-//!   dense edge table (in parallel) and runs Tarjan on one worker or
-//!   the trimmed forward–backward decomposition of
-//!   [`scc::parallel_sccs`] on several; no transition list is ever
-//!   buffered during exploration.
+//! * **O(states) memory, parallel SCC** — exploration records each
+//!   completion-free successor once, in its parent's row of a dense
+//!   `states × n` edge table, and the deadlock-freedom pass runs Tarjan
+//!   on one worker or the trimmed forward–backward decomposition of
+//!   [`scc::parallel_sccs`] on several over that table; no successor is
+//!   generated twice and no transition list is buffered.
 //! * **Out-of-core exploration** — the seen set is hash-prefix-sharded
 //!   into worker-owned partitions (parallel levels expand against the
 //!   frozen shards, then each worker exclusively drains its own shards'

@@ -83,14 +83,15 @@
 //!   [`ModelChecker::halt_after_checkpoints`],
 //!   [`ModelChecker::crashes`] and [`ModelChecker::fault_plan`].
 //!
-//! The deadlock-freedom pass no longer buffers a transition list
-//! during exploration: after BFS, every completion-free successor is
-//! *regenerated* from the interned bytes exactly once into a dense
-//! `states × n` edge table (split across the worker pool), and the SCC
-//! decomposition — sequential Tarjan on one worker,
-//! [`crate::scc::parallel_sccs`] on several — runs over that table, so
-//! peak memory is O(states · n) rather than O(stored transitions) and
-//! no successor is regenerated twice.
+//! The state graph is explored once.  Wherever BFS resolves a
+//! `Progress` successor to its id — fresh or already seen — it records
+//! the edge, with its canonicalizing group element under symmetry, in
+//! the parent's row of a `states × n` edge table indexed by state id
+//! (and checkpointed with the shards).  The deadlock-freedom pass runs
+//! the SCC decomposition — sequential Tarjan on one worker,
+//! [`crate::scc::parallel_sccs`] on several — over that table, so
+//! memory is O(states · n) rather than O(stored transitions) and no
+//! successor is generated twice.
 //!
 //! With `Symmetry::Process` or `Symmetry::Wreath`, the fair-livelock
 //! check runs on the orbit quotient with fairness at the granularity of
@@ -406,9 +407,10 @@ pub struct McReport {
     pub peak_frontier: usize,
     /// Wall-clock duration of the exploration.
     pub wall_time: Duration,
-    /// Wall-clock duration of the fair-livelock pass alone (successor
-    /// CSR build + SCC decomposition + component scan); zero when the
-    /// pass did not run (mutual-exclusion violation or overflow).
+    /// Wall-clock duration of the fair-livelock pass alone (SCC
+    /// decomposition of the edge table recorded during exploration,
+    /// component scan, orbit confirmation and SCC queries); zero when
+    /// the pass did not run (mutual-exclusion violation or overflow).
     pub scc_wall_time: Duration,
     /// *Logical* bytes of the interned state arenas after exploration:
     /// compressed records plus the offset index, shrunk to fit (the
@@ -965,15 +967,23 @@ where
         } else {
             None
         };
+        let n = self.automata.len();
+        let sigma_rows = group.len() > 1;
         let mut shards: Vec<Shard>;
+        let mut rows: EdgeRows;
         let mut frontier: Vec<(u32, Box<[u8]>)>;
         if let Some(ck) = restored {
-            assert_eq!(
-                ck.shards.len(),
-                n_shards,
-                "checkpoint shard layout mismatch"
-            );
+            if ck.shards.len() != n_shards
+                || ck.edges.len() % n != 0
+                || ck.sigmas.len() != if sigma_rows { ck.edges.len() } else { 0 }
+            {
+                return Err(McError::Checkpoint(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "checkpoint shard or edge-table layout does not match this configuration",
+                )));
+            }
             shards = ck.shards;
+            rows = EdgeRows::new(n, sigma_rows, ck.edges, ck.sigmas);
             let states: usize = shards.iter().map(|s| s.arena.len()).sum();
             shared.stored.store(states, Ordering::Relaxed);
             shared
@@ -989,16 +999,17 @@ where
             // out of the restored arenas.
             frontier = Vec::with_capacity(ck.frontier.len());
             for &gid in &ck.frontier {
-                let si = (gid as usize) & (n_shards - 1);
+                let (si, local) = split_gid(gid, shard_bits);
                 let mut bytes = Vec::new();
                 shards[si]
                     .arena
-                    .get_into(gid >> shard_bits, &mut bytes)
+                    .get_into(local, &mut bytes)
                     .map_err(McError::Spill)?;
                 frontier.push((gid, bytes.into_boxed_slice()));
             }
         } else {
             shards = (0..n_shards).map(|_| Shard::default()).collect();
+            rows = EdgeRows::new(n, sigma_rows, Vec::new(), Vec::new());
             // Seed the frontier with the (group-invariant) initial state.
             scratch.slots = vec![Slot::BOTTOM; m];
             scratch.procs = self
@@ -1090,9 +1101,9 @@ where
         {
             peak_frontier = peak_frontier.max(frontier.len());
             let out = if workers == 1 {
-                process_chunk(&shared, &mut shards, &frontier, 0, &mut scratch)
+                process_chunk(&shared, &mut shards, &mut rows, &frontier, &mut scratch)
             } else {
-                run_level_sharded(&shared, &mut shards, &frontier, workers)
+                run_level_sharded(&shared, &mut shards, &mut rows, &frontier, workers)
             };
             acquisitions += out.acquisitions;
             transitions += out.transitions;
@@ -1151,6 +1162,7 @@ where
                         monitor_hits: &monitor_hits,
                         frontier: &frontier,
                         shards: &shards,
+                        rows: &rows,
                     };
                     match checkpoint::write(dir, &snap, self.fault_plan.as_deref()) {
                         Ok(()) => {
@@ -1189,7 +1201,7 @@ where
         let full_states_estimate = shared.orbit_sum.load(Ordering::Relaxed);
         let overflowed = shared.overflow.load(Ordering::Relaxed);
         let steal_count = shared.steals.load(Ordering::Relaxed);
-        let store = Store::new(shards, shard_bits);
+        let store = Store::new(shards, shard_bits, rows);
         degraded.extend(store.degraded_notes());
         let mut report = McReport {
             verdict: Verdict::Ok,
@@ -1323,15 +1335,12 @@ where
 
     /// Fair-livelock search on the completion-free subgraph.
     ///
-    /// Successors are regenerated from the interned bytes exactly once,
-    /// into a dense out-edge table (`v*n + k` → child, [`scc::NO_EDGE`]
-    /// for deleted completion edges); the SCC decomposition and the
-    /// per-component fairness scan then run over that table instead of
-    /// paying decode + step + canonicalize + lookup per algorithmic
-    /// probe.  The regeneration pass is split across `workers`;
-    /// multi-worker runs decompose with the parallel FW–BW pass (sorted
-    /// to a deterministic traversal order), one-worker runs with
-    /// sequential Tarjan.
+    /// Runs over the dense edge table exploration recorded
+    /// ([`Store::edges`]), so no automaton is stepped here: the SCC
+    /// decomposition — the parallel FW–BW pass on multi-worker runs
+    /// (sorted to a deterministic traversal order), sequential Tarjan
+    /// on one worker — and the per-component fairness scan read only
+    /// the table and each candidate's decoded phases.
     fn find_fair_livelock(
         &self,
         store: &Store,
@@ -1346,110 +1355,22 @@ where
         if n_states == 0 {
             return Ok(None);
         }
+        let csr = &store.edges;
 
-        // Stage 1: regenerate the completion-free successor table — and,
-        // under symmetry, the canonicalizing group element of every
-        // edge, which lets the orbit confirmation below walk concrete
-        // orbit states entirely by table composition (no re-stepping).
-        let track_sigma = group.len() > 1;
-        let mut csr = vec![scc::NO_EDGE; n_states * n];
-        let mut sigmas: Vec<u16> = if track_sigma {
-            vec![0; n_states * n]
-        } else {
-            Vec::new()
-        };
-        // Crash edges are deliberately absent from this table: each one
-        // strictly increases a crash count, so no cycle — and hence no
-        // SCC-carried infinite execution — can contain one, and
-        // fairness never obliges the adversary to crash a process.
-        let fill_rows = |rows: &mut [u32],
-                         sigs: &mut [u16],
-                         base: usize,
-                         sc: &mut Scratch<A::State>|
-         -> Result<(), SpillError> {
-            for (row, entries) in rows.chunks_mut(n).enumerate() {
-                store.bytes_into(store.gid_of_dense(base + row), &mut sc.cache, &mut sc.node)?;
-                decode_node(
-                    &sc.node,
-                    m,
-                    n,
-                    &mut sc.slots,
-                    &mut sc.procs,
-                    &mut sc.crashes,
-                );
-                for (k, entry) in entries.iter_mut().enumerate() {
-                    sc.mem.restore(&sc.slots);
-                    let saved = sc.procs[k].clone();
-                    let outcome =
-                        advance_in_place(&self.automata[k], k, &mut sc.mem, &mut sc.procs[k]);
-                    if outcome == Outcome::Progress {
-                        let sigma = canonical_sigma(
-                            group,
-                            sc.mem.slots(),
-                            &sc.procs,
-                            &sc.crashes,
-                            &mut sc.enc,
-                            &mut sc.best,
-                        );
-                        let child = store
-                            .lookup(&sc.best, &mut sc.cache)?
-                            .expect("successor of a stored state must itself be stored");
-                        *entry = store.dense(child) as u32;
-                        if let Some(se) = sigs.get_mut(row * n + k) {
-                            *se = sigma;
-                        }
-                    }
-                    sc.procs[k] = saved;
-                }
-            }
-            Ok(())
-        };
-        if workers == 1 {
-            fill_rows(&mut csr, &mut sigmas, 0, scratch)?;
-        } else {
-            let chunk = n_states.div_ceil(workers) * n;
-            let spill_err: Mutex<Option<SpillError>> = Mutex::new(None);
-            std::thread::scope(|s| {
-                let mut csr_rest = csr.as_mut_slice();
-                let mut sig_rest = sigmas.as_mut_slice();
-                let mut base = 0usize;
-                while !csr_rest.is_empty() {
-                    let take = chunk.min(csr_rest.len());
-                    let (rows, r2) = csr_rest.split_at_mut(take);
-                    csr_rest = r2;
-                    let (sigs, s2) = sig_rest.split_at_mut(take.min(sig_rest.len()));
-                    sig_rest = s2;
-                    let fill_rows = &fill_rows;
-                    let spill_err = &spill_err;
-                    let row_base = base;
-                    s.spawn(move || {
-                        let mut sc: Scratch<A::State> = Scratch::new(self.mem0.clone());
-                        if let Err(e) = fill_rows(rows, sigs, row_base, &mut sc) {
-                            spill_err.lock().get_or_insert(e);
-                        }
-                    });
-                    base += take / n;
-                }
-            });
-            if let Some(e) = spill_err.into_inner() {
-                return Err(e);
-            }
-        }
-
-        // Stage 2: SCC decomposition over the table.  Tarjan emits in
+        // SCC decomposition over the table.  Tarjan emits in
         // reverse topological order; the parallel decomposition emits in
         // scheduling order, so its output is normalized (components
         // sorted by least member) to keep the candidate scan — and
         // hence any reported witness — deterministic per thread count.
         let sccs = if workers > 1 {
-            let mut sccs = scc::parallel_sccs(n_states, n, &csr, workers);
+            let mut sccs = scc::parallel_sccs(n_states, n, csr, workers);
             for c in &mut sccs {
                 c.sort_unstable();
             }
             sccs.sort_unstable_by_key(|c| c[0]);
             sccs
         } else {
-            scc::tarjan_sccs_csr(n_states, n, &csr)
+            scc::tarjan_sccs_csr(n_states, n, csr)
         };
 
         // Component id per node for internal-edge testing.
@@ -1460,7 +1381,7 @@ where
             }
         }
         let n_classes = class_of.iter().copied().max().unwrap_or(0) + 1;
-        let gtab = track_sigma.then(|| group_tables(group));
+        let gtab = (group.len() > 1).then(|| group_tables(group));
         for members in &sccs {
             // Singleton components without a self-loop — the vast
             // majority on Ok verdicts — cannot carry an infinite
@@ -1569,9 +1490,9 @@ where
                 .as_ref()
                 .expect("tables exist whenever the group is nontrivial");
             let cid = comp[members[0] as usize];
-            if let Some(v) = self.confirm_livelock_on_orbit(
-                store, group, gtab, members, &csr, &sigmas, &comp, cid, scratch,
-            )? {
+            if let Some(v) =
+                self.confirm_livelock_on_orbit(store, group, gtab, members, &comp, cid, scratch)?
+            {
                 return Ok(Some(v));
             }
         }
@@ -1590,7 +1511,7 @@ where
     /// differential-tested.
     ///
     /// The expansion is walked as `(canonical member, group element)`
-    /// pairs using the edge table built by the caller: by equivariance,
+    /// pairs using the store's edge table: by equivariance,
     /// concrete actor `a` in state `g·ŝ_v` is quotient actor
     /// `g⁻¹(a)` in `ŝ_v`, and with `ŝ_v --k--> t`, `ŝ_w = σ·t` the
     /// successor is `(w, g∘σ⁻¹)` — so no automaton is stepped and no
@@ -1606,14 +1527,13 @@ where
         group: &[SymElem],
         gtab: &GroupTables,
         members: &[u32],
-        csr: &[u32],
-        sigmas: &[u16],
         comp: &[u32],
         cid: u32,
         scratch: &mut Scratch<A::State>,
     ) -> Result<Option<(Verdict, Vec<SccQueryResult>)>, SpillError> {
         let n = self.automata.len();
         let m = self.mem0.m();
+        let (csr, sigmas) = (&store.edges, &store.sigmas);
         let gl = group.len();
         let k_nodes = members.len() * gl;
 
@@ -2156,6 +2076,60 @@ pub(crate) struct Shard {
     pub(crate) meta: Vec<NodeMeta>,
 }
 
+/// The livelock edge table, recorded during exploration and indexed by
+/// global id: entry `gid * n + k` is the global id of the state's
+/// `Progress` successor under actor `k`, or [`scc::NO_EDGE`] for a
+/// completion (or a state not yet expanded).  Crash edges are never
+/// recorded: each strictly increases a crash count, so no cycle
+/// contains one, and fairness never obliges the adversary to crash a
+/// process.  [`Store::new`] turns it into the dense table.
+#[derive(Debug)]
+pub(crate) struct EdgeRows {
+    n: usize,
+    pub(crate) edges: Vec<u32>,
+    /// The canonicalizing group element of each entry of `edges`;
+    /// empty when the symmetry group is trivial.
+    pub(crate) sigmas: Vec<u16>,
+    sigma_rows: bool,
+}
+
+impl EdgeRows {
+    fn new(n: usize, sigma_rows: bool, edges: Vec<u32>, sigmas: Vec<u16>) -> Self {
+        EdgeRows {
+            n,
+            edges,
+            sigmas,
+            sigma_rows,
+        }
+    }
+
+    /// Records the edge `gid --k--> child`, canonicalized by `sigma`.
+    fn set(&mut self, gid: u32, k: usize, child: u32, sigma: u16) {
+        let at = gid as usize * self.n + k;
+        if at >= self.edges.len() {
+            let len = (gid as usize + 1) * self.n;
+            self.edges.resize(len, scc::NO_EDGE);
+            if self.sigma_rows {
+                self.sigmas.resize(len, 0);
+            }
+        }
+        self.edges[at] = child;
+        if let Some(s) = self.sigmas.get_mut(at) {
+            *s = sigma;
+        }
+    }
+}
+
+/// A livelock edge `(parent, actor, child, sigma)` found by a
+/// sharded-level worker, recorded after the round.
+type LivelockEdge = (u32, usize, u32, u16);
+
+/// Splits a global id into `(shard index, shard-local index)`.
+fn split_gid(gid: u32, shard_bits: u32) -> (usize, u32) {
+    let mask = (1u32 << shard_bits) - 1;
+    ((gid & mask) as usize, gid >> shard_bits)
+}
+
 /// Everything the BFS workers share read-only, plus the global
 /// counters.  The shards themselves deliberately live *outside* this
 /// struct (on the exploration loop's stack) so ownership — not a
@@ -2273,6 +2247,10 @@ impl<S> Scratch<S> {
 
 struct WorkerOut {
     next: Vec<(u32, Box<[u8]>)>,
+    /// Livelock edges to already-interned children, found by a sharded
+    /// expand worker's frozen probe (the sequential sink records edges
+    /// in place).
+    edges: Vec<LivelockEdge>,
     acquisitions: usize,
     transitions: usize,
     violation: Option<Violation>,
@@ -2286,6 +2264,7 @@ impl WorkerOut {
     fn new(n_monitors: usize) -> Self {
         WorkerOut {
             next: Vec::new(),
+            edges: Vec::new(),
             acquisitions: 0,
             transitions: 0,
             violation: None,
@@ -2342,11 +2321,9 @@ impl MonitorHit {
 
 #[derive(Debug, Clone, Copy)]
 struct Violation {
-    /// `(frontier position, actor)` — the per-level tiebreak.  With one
-    /// thread this makes the reported violation fully deterministic;
-    /// with several, the frontier order itself depends on intern races,
-    /// so ties may resolve differently (the level, and hence the
-    /// witness length, never changes).
+    /// `(frontier position, actor)` — the per-level tiebreak.  Drains
+    /// are sorted, so the frontier order, and with it the reported
+    /// violation, is the same at every thread count.
     order: (usize, usize),
     from: u32,
     actor: usize,
@@ -2471,33 +2448,6 @@ fn canonicalize<S: EncodeState>(
     (sigma, group.len() as u32 / stabilizer)
 }
 
-/// [`canonicalize`] without the stabilizer/orbit accounting: `best`
-/// receives the lexicographically least image and the index of a group
-/// element achieving it is returned.  The fair-livelock pass
-/// regenerates millions of successors only to *look them up* (plus the
-/// winning element, which lets the orbit confirmation run on tables
-/// instead of re-stepping states), where the orbit size is dead
-/// weight.
-fn canonical_sigma<S: EncodeState>(
-    group: &[SymElem],
-    slots: &[Slot],
-    procs: &[(Phase, S)],
-    crashes: &[u8],
-    enc: &mut Vec<u8>,
-    best: &mut Vec<u8>,
-) -> u16 {
-    encode_node_with(&group[0], slots, procs, crashes, best);
-    let mut sigma = 0u16;
-    for (gi, elem) in group.iter().enumerate().skip(1) {
-        encode_node_with(elem, slots, procs, crashes, enc);
-        if enc.as_slice() < best.as_slice() {
-            std::mem::swap(enc, best);
-            sigma = gi as u16;
-        }
-    }
-    sigma
-}
-
 /// Composition and inverse tables of the symmetry group, used by the
 /// orbit confirmation to walk concrete orbit states as `(canonical
 /// member, group element)` pairs without re-stepping any automaton.
@@ -2541,34 +2491,73 @@ fn group_tables(group: &[SymElem]) -> GroupTables {
     GroupTables { inv, compose }
 }
 
-/// Expands every node of one frontier chunk, interning fresh
-/// successors directly.  The single-threaded engine path: iterates in
-/// frontier order and stops at the first violating node (later
-/// positions cannot beat its `(position, actor)` order), which keeps
-/// the sequential run byte-for-byte deterministic.
+/// Expands every node of one level, interning fresh successors
+/// directly, recording livelock edges and evaluating monitors on the
+/// spot.  The single-threaded engine path: iterates in frontier order
+/// and stops at the first violating node (later positions cannot beat
+/// its `(position, actor)` order), which keeps the sequential run
+/// byte-for-byte deterministic.  Monitors run once per stored state, on
+/// the concrete successor as generated (same frame the
+/// mutual-exclusion check saw); under symmetry they must be
+/// orbit-invariant, so any image is as good as any other.
 fn process_chunk<A: Automaton>(
     shared: &EngineShared<'_, A>,
     shards: &mut [Shard],
-    chunk: &[(u32, Box<[u8]>)],
-    base: usize,
+    rows: &mut EdgeRows,
+    frontier: &[(u32, Box<[u8]>)],
     scratch: &mut Scratch<A::State>,
 ) -> WorkerOut
 where
     A::State: EncodeState,
 {
     let mut out = WorkerOut::new(shared.monitors.len());
-    for (pos, (gid, bytes)) in chunk.iter().enumerate() {
+    for (pos, (gid, bytes)) in frontier.iter().enumerate() {
         if shared.overflow.load(Ordering::Relaxed) {
             break;
         }
-        process_item(
+        let gid = *gid;
+        expand_node(
             shared,
-            shards,
-            (base + pos) as u32,
-            *gid,
+            pos as u32,
+            gid,
             bytes,
             scratch,
             &mut out,
+            |sc, out, actor, progress, sigma, orbit| {
+                let hash = hash_bytes(&sc.best);
+                let si = shard_index(hash, shared.shard_bits);
+                let meta = NodeMeta {
+                    parent: gid,
+                    actor: actor as u8,
+                    sigma,
+                };
+                let (child, fresh) =
+                    intern_into(shared, si, &mut shards[si], hash, &sc.best, meta, orbit);
+                if progress {
+                    rows.set(gid, actor, child, sigma);
+                }
+                if fresh {
+                    out.next.push((child, sc.best.as_slice().into()));
+                    let order = (pos, actor);
+                    for (mi, mon) in shared.monitors.iter().enumerate() {
+                        if (mon.eval)(sc.mem.slots(), &sc.procs) {
+                            out.monitor_hits[mi].record(order, child);
+                            if mon.fatal {
+                                let cand = PropViolation {
+                                    order,
+                                    node: child,
+                                    monitor: mi as u32,
+                                };
+                                if out.prop_violation.is_none_or(|best| {
+                                    (cand.order, cand.monitor) < (best.order, best.monitor)
+                                }) {
+                                    out.prop_violation = Some(cand);
+                                }
+                            }
+                        }
+                    }
+                }
+            },
         );
         if out.found_stop() {
             break;
@@ -2609,6 +2598,8 @@ struct PendingInsert {
     pos: u32,
     parent: u32,
     actor: u8,
+    /// A livelock edge: the drain reports it for recording.
+    progress: bool,
     sigma: u16,
     orbit: u32,
     mon_mask: u64,
@@ -2635,14 +2626,15 @@ struct PendingInsert {
 ///    deterministic at every thread count and matches the order the
 ///    sequential engine would pick.
 ///
-/// No lock is held on any intern path — the striped-lock contention of
-/// the previous engine is gone by construction, and each shard's arena
-/// grows (and spills) independently.  The fresh children of all rounds
-/// are merged and sorted by `(pos, actor)` into the next frontier,
-/// again matching sequential order.
+/// No lock is held on any intern path, and each shard's arena grows
+/// (and spills) independently.  After each round the livelock edges
+/// both phases resolved are recorded.  The fresh children of all
+/// rounds are merged and sorted by `(pos, actor)` into the next
+/// frontier, again matching sequential order.
 fn run_level_sharded<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shards: &mut [Shard],
+    rows: &mut EdgeRows,
     frontier: &[(u32, Box<[u8]>)],
     workers: usize,
 ) -> WorkerOut
@@ -2659,7 +2651,9 @@ where
         // Phase 1: expand the round against the frozen shards.
         let results = expand_chunk_stealing(shared, &*shards, chunk, ci * LEVEL_CHUNK, workers);
         let mut pending: Vec<Vec<PendingInsert>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for (wout, boxes) in results {
+        let mut edges: Vec<LivelockEdge> = Vec::new();
+        for (mut wout, boxes) in results {
+            edges.append(&mut wout.edges);
             out.acquisitions += wout.acquisitions;
             out.transitions += wout.transitions;
             if let Some(v) = wout.violation {
@@ -2690,7 +2684,8 @@ where
                 .map(|h| h.join().expect("model-checker insert worker panicked"))
                 .collect()
         });
-        for oo in drained {
+        for mut oo in drained {
+            edges.append(&mut oo.edges);
             for (acc, hit) in out.monitor_hits.iter_mut().zip(&oo.monitor_hits) {
                 acc.merge(hit);
             }
@@ -2704,6 +2699,9 @@ where
             }
             fresh.extend(oo.fresh);
         }
+        for (parent, actor, child, sigma) in edges {
+            rows.set(parent, actor, child, sigma);
+        }
     }
     fresh.sort_unstable_by_key(|&(pos, actor, _, _)| (pos, actor));
     out.next = fresh
@@ -2714,10 +2712,10 @@ where
 }
 
 /// Phase-1 worker pool of [`run_level_sharded`]: the round's nodes go
-/// into per-worker deques (same block partition and back-half stealing
-/// as the pre-sharding level engine); every worker returns its
-/// [`WorkerOut`] (transitions and violation candidates — nothing is
-/// interned here) plus its per-shard pending-insert outboxes.
+/// into per-worker deques, block-partitioned, with back-half stealing;
+/// every worker returns its [`WorkerOut`] (transitions, violation
+/// candidates and probe-hit edges — nothing is interned here) plus its
+/// per-shard pending-insert outboxes.
 fn expand_chunk_stealing<'f, A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shards: &[Shard],
@@ -2820,7 +2818,7 @@ where
                 item.bytes,
                 &mut sc,
                 &mut out,
-                |sc, _out, actor, sigma, orbit| {
+                |sc, out, actor, progress, sigma, orbit| {
                     let hash = hash_bytes(&sc.best);
                     let si = shard_index(hash, shared.shard_bits);
                     match shards[si]
@@ -2828,10 +2826,16 @@ where
                         .lookup_hashed_cached(hash, &sc.best, &mut sc.cache)
                     {
                         // Interned by a previous round or level: the
-                        // frozen probe is exact for those, so nothing
-                        // to buffer.  Intra-round duplicates fall
-                        // through and lose in the insert phase.
-                        Ok(Some(_)) => return,
+                        // frozen probe is exact for those, so only the
+                        // edge is buffered.  Intra-round duplicates
+                        // fall through and lose in the insert phase.
+                        Ok(Some(local)) => {
+                            if progress {
+                                let child = (local << shared.shard_bits) | si as u32;
+                                out.edges.push((gid, actor, child, sigma));
+                            }
+                            return;
+                        }
                         Ok(None) => {}
                         Err(e) => {
                             // A spilled page is unreadable: the level
@@ -2853,6 +2857,7 @@ where
                         pos,
                         parent: gid,
                         actor: actor as u8,
+                        progress,
                         sigma,
                         orbit,
                         mon_mask,
@@ -2870,6 +2875,8 @@ struct OwnerOut {
     /// Freshly interned children as `(pos, actor, gid, bytes)`; the
     /// caller sorts them into the next frontier.
     fresh: Vec<(u32, u8, u32, Box<[u8]>)>,
+    /// Livelock edges to the drained children, fresh or not.
+    edges: Vec<LivelockEdge>,
     monitor_hits: Vec<MonitorHit>,
     prop_violation: Option<PropViolation>,
 }
@@ -2883,6 +2890,7 @@ fn drain_owner<A: Automaton>(
 ) -> OwnerOut {
     let mut oo = OwnerOut {
         fresh: Vec::new(),
+        edges: Vec::new(),
         monitor_hits: vec![MonitorHit::default(); shared.monitors.len()],
         prop_violation: None,
     };
@@ -2897,6 +2905,10 @@ fn drain_owner<A: Automaton>(
                 sigma: p.sigma,
             };
             let (gid, fresh) = intern_into(shared, si, shard, p.hash, &p.bytes, meta, p.orbit);
+            if p.progress {
+                oo.edges
+                    .push((p.parent, usize::from(p.actor), gid, p.sigma));
+            }
             if !fresh {
                 // An intra-round duplicate that lost the sorted
                 // `(pos, actor)` race — exactly the copy the
@@ -2930,10 +2942,12 @@ fn drain_owner<A: Automaton>(
 }
 
 /// Expands one frontier node — the successor-generation skeleton both
-/// engine paths share.  For every `Progress` step the successor is
-/// canonicalized into `scratch.best` (concrete frame left in
-/// `scratch.mem`/`scratch.procs`) and handed to `sink` as
-/// `(scratch, out, actor, sigma, orbit)`; the sink either interns it
+/// engine paths share, and the only place any automaton is stepped.
+/// Every successor is canonicalized into `scratch.best` (concrete frame
+/// left in `scratch.mem`/`scratch.procs`) and handed to `sink` as
+/// `(scratch, out, actor, progress, sigma, orbit)`, where `progress`
+/// marks the edges of the completion-free livelock graph (`Progress`
+/// steps; completions and crashes are not); the sink either interns it
 /// immediately (sequential path) or routes it to the owning shard's
 /// outbox (sharded parallel path).  A found violation never aborts
 /// mid-node: the candidate is merged by minimum `(pos, actor)` into
@@ -2947,7 +2961,7 @@ fn expand_node<A: Automaton>(
     bytes: &[u8],
     scratch: &mut Scratch<A::State>,
     out: &mut WorkerOut,
-    mut sink: impl FnMut(&mut Scratch<A::State>, &mut WorkerOut, usize, u16, u32),
+    mut sink: impl FnMut(&mut Scratch<A::State>, &mut WorkerOut, usize, bool, u16, u32),
 ) where
     A::State: EncodeState,
 {
@@ -2998,7 +3012,7 @@ fn expand_node<A: Automaton>(
             &mut scratch.best,
             &mut scratch.first,
         );
-        sink(scratch, out, i, sigma, orbit);
+        sink(scratch, out, i, outcome == Outcome::Progress, sigma, orbit);
         scratch.procs[i] = saved;
     }
     // Crash edges: the adversary may crash any process that is mid-
@@ -3006,10 +3020,8 @@ fn expand_node<A: Automaton>(
     // nothing to lose), within budget.  A crash resets the process to
     // its remainder section with `crash_state()` local memory; under
     // `WipeRegisters` its shared-register claims evaporate too, under
-    // `StaleClaims` they linger.  Crash counts strictly increase along
-    // these edges, so no cycle contains one — which is why the fair-
-    // livelock CSR pass soundly omits them (fairness never obliges the
-    // adversary to crash anyone).
+    // `StaleClaims` they linger.  They are not livelock edges (see
+    // `EdgeRows`).
     if let Some((budget, mode)) = shared.crashes {
         let total: u32 = scratch.crashes.iter().map(|&c| u32::from(c)).sum();
         for i in 0..n {
@@ -3049,70 +3061,12 @@ fn expand_node<A: Automaton>(
                 &mut scratch.best,
                 &mut scratch.first,
             );
-            sink(scratch, out, usize::from(CRASH_ACTOR) | i, sigma, orbit);
+            let actor = usize::from(CRASH_ACTOR) | i;
+            sink(scratch, out, actor, false, sigma, orbit);
             scratch.crashes[i] -= 1;
             scratch.procs[i] = saved;
         }
     }
-}
-
-/// The sequential intern sink over [`expand_node`]: interns fresh
-/// successors immediately and evaluates monitors on the spot.
-/// Monitors run once per stored state, on the concrete successor as
-/// generated (same frame the mutual-exclusion check saw); under
-/// symmetry they must be orbit-invariant, so any image is as good as
-/// any other.
-fn process_item<A: Automaton>(
-    shared: &EngineShared<'_, A>,
-    shards: &mut [Shard],
-    pos: u32,
-    gid: u32,
-    bytes: &[u8],
-    scratch: &mut Scratch<A::State>,
-    out: &mut WorkerOut,
-) where
-    A::State: EncodeState,
-{
-    expand_node(
-        shared,
-        pos,
-        gid,
-        bytes,
-        scratch,
-        out,
-        |sc, out, actor, sigma, orbit| {
-            let hash = hash_bytes(&sc.best);
-            let si = shard_index(hash, shared.shard_bits);
-            let meta = NodeMeta {
-                parent: gid,
-                actor: actor as u8,
-                sigma,
-            };
-            let (child, fresh) =
-                intern_into(shared, si, &mut shards[si], hash, &sc.best, meta, orbit);
-            if fresh {
-                out.next.push((child, sc.best.as_slice().into()));
-                let order = (pos as usize, actor);
-                for (mi, mon) in shared.monitors.iter().enumerate() {
-                    if (mon.eval)(sc.mem.slots(), &sc.procs) {
-                        out.monitor_hits[mi].record(order, child);
-                        if mon.fatal {
-                            let cand = PropViolation {
-                                order,
-                                node: child,
-                                monitor: mi as u32,
-                            };
-                            if out.prop_violation.is_none_or(|best| {
-                                (cand.order, cand.monitor) < (best.order, best.monitor)
-                            }) {
-                                out.prop_violation = Some(cand);
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    );
 }
 
 /// Read-only view of the interned shards after exploration.
@@ -3120,13 +3074,21 @@ struct Store {
     shards: Vec<Shard>,
     shard_bits: u32,
     prefix: Vec<u32>,
+    /// The livelock edge table in dense order, children as dense ids:
+    /// entry `v*n + k` is actor `k`'s `Progress` successor of
+    /// dense node `v`, or [`scc::NO_EDGE`].
+    edges: Vec<u32>,
+    /// The canonicalizing group element of each entry of `edges`
+    /// (empty when the group is trivial).
+    sigmas: Vec<u16>,
 }
 
 impl Store {
     /// Seals the shards for read-mostly use: growth slack is dropped
     /// (so [`Store::arena_bytes`] reports resident bytes, not
-    /// capacity) and the shard-prefix index is built.
-    fn new(mut shards: Vec<Shard>, shard_bits: u32) -> Self {
+    /// capacity), the shard-prefix index is built, and the edge table
+    /// is reordered into dense order.
+    fn new(mut shards: Vec<Shard>, shard_bits: u32, rows: EdgeRows) -> Self {
         let mut prefix = Vec::with_capacity(shards.len() + 1);
         let mut acc = 0u32;
         prefix.push(0);
@@ -3136,11 +3098,31 @@ impl Store {
             acc += s.arena.len() as u32;
             prefix.push(acc);
         }
-        Store {
+        let mut store = Store {
             shards,
             shard_bits,
             prefix,
+            edges: Vec::new(),
+            sigmas: Vec::new(),
+        };
+        let EdgeRows {
+            n,
+            mut edges,
+            mut sigmas,
+            sigma_rows,
+        } = rows;
+        store.rows_to_dense(&mut edges, n, scc::NO_EDGE);
+        for w in &mut edges {
+            if *w != scc::NO_EDGE {
+                *w = store.dense(*w) as u32;
+            }
         }
+        if sigma_rows {
+            store.rows_to_dense(&mut sigmas, n, 0);
+        }
+        store.edges = edges;
+        store.sigmas = sigmas;
+        store
     }
 
     fn node_count(&self) -> usize {
@@ -3175,11 +3157,6 @@ impl Store {
         self.shards.iter().map(|s| s.arena.table_bytes()).sum()
     }
 
-    fn split(&self, gid: u32) -> (usize, u32) {
-        let si = (gid & ((1u32 << self.shard_bits) - 1)) as usize;
-        (si, gid >> self.shard_bits)
-    }
-
     /// Materializes the encoded bytes of `gid` into `out`, faulting
     /// the page in from spill through the caller's cache if evicted.
     fn bytes_into(
@@ -3188,22 +3165,13 @@ impl Store {
         cache: &mut PageCache,
         out: &mut Vec<u8>,
     ) -> Result<(), SpillError> {
-        let (si, local) = self.split(gid);
+        let (si, local) = split_gid(gid, self.shard_bits);
         self.shards[si].arena.get_into_cached(local, cache, out)
     }
 
     fn meta(&self, gid: u32) -> NodeMeta {
-        let (si, local) = self.split(gid);
+        let (si, local) = split_gid(gid, self.shard_bits);
         self.shards[si].meta[local as usize]
-    }
-
-    fn lookup(&self, bytes: &[u8], cache: &mut PageCache) -> Result<Option<u32>, SpillError> {
-        let hash = hash_bytes(bytes);
-        let si = shard_index(hash, self.shard_bits);
-        Ok(self.shards[si]
-            .arena
-            .lookup_hashed_cached(hash, bytes, cache)?
-            .map(|local| (local << self.shard_bits) | si as u32))
     }
 
     /// Degradation notes accumulated by the shards' arenas (spill
@@ -3217,8 +3185,37 @@ impl Store {
 
     /// Dense index (shard-major) of a global id.
     fn dense(&self, gid: u32) -> usize {
-        let (si, local) = self.split(gid);
+        let (si, local) = split_gid(gid, self.shard_bits);
         (self.prefix[si] + local) as usize
+    }
+
+    /// Reorders id-indexed rows of `n` entries into dense order in
+    /// place, one permutation cycle at a time, so no second table is
+    /// allocated; rows of ids no state holds are dropped.
+    fn rows_to_dense<T: Copy>(&self, rows: &mut Vec<T>, n: usize, fill: T) {
+        let dense_of = |id: usize| {
+            let (si, local) = split_gid(id as u32, self.shard_bits);
+            ((local as usize) < self.shards[si].arena.len()).then(|| self.dense(id as u32))
+        };
+        let longest = self.shards.iter().map(|s| s.arena.len()).max();
+        let ids = longest.unwrap_or(0) << self.shard_bits;
+        rows.resize(rows.len().max(ids * n), fill);
+        let mut picked = vec![false; ids];
+        let mut carry = vec![fill; n];
+        for start in 0..ids {
+            // Each swap parks the carried row at its dense position and
+            // picks up the row of the id equal to that position, which
+            // is still in place unless it started a cycle already.
+            carry.copy_from_slice(&rows[start * n..(start + 1) * n]);
+            let mut id = start;
+            while let Some(to) = dense_of(id).filter(|_| !picked[id]) {
+                picked[id] = true;
+                rows[to * n..(to + 1) * n].swap_with_slice(&mut carry);
+                id = to;
+            }
+        }
+        rows.truncate(self.node_count() * n);
+        rows.shrink_to_fit();
     }
 
     /// Inverse of [`Store::dense`].
@@ -4327,5 +4324,45 @@ mod tests {
         assert_eq!(schedule, vec![0, 1]);
         assert_eq!(tau, vec![1, 0]);
         assert_eq!(tau_inv, vec![1, 0]);
+    }
+
+    #[test]
+    fn edge_table_is_permuted_into_dense_order() {
+        // Uneven shards, one empty, so ids have holes and rows move in
+        // cycles of several lengths; the table is recorded only up to
+        // some ids, as when the last states were never expanded.
+        let n = 2;
+        let shard_bits = 2;
+        let lens = [3u32, 0, 5, 1];
+        let shards: Vec<Shard> = lens
+            .iter()
+            .map(|&len| {
+                let mut shard = Shard::default();
+                for i in 0..len {
+                    shard.arena.intern(&i.to_le_bytes()).unwrap();
+                }
+                shard
+            })
+            .collect();
+        let gids: Vec<u32> = (0..4u32)
+            .flat_map(|si| (0..lens[si as usize]).map(move |l| (l << shard_bits) | si))
+            .collect();
+        let mut rows = EdgeRows::new(n, true, Vec::new(), Vec::new());
+        for &gid in &gids {
+            if gid < 14 {
+                rows.set(gid, 1, gids[0], gid as u16);
+            }
+        }
+        let store = Store::new(shards, shard_bits, rows);
+        assert_eq!(store.edges.len(), gids.len() * n);
+        for (d, &gid) in gids.iter().enumerate() {
+            assert_eq!(store.gid_of_dense(d), gid);
+            let recorded = gid < 14;
+            let row = &store.edges[d * n..(d + 1) * n];
+            let child = if recorded { 0 } else { scc::NO_EDGE };
+            assert_eq!(row, [scc::NO_EDGE, child], "dense row {d} (id {gid})");
+            let sigma = if recorded { gid as u16 } else { 0 };
+            assert_eq!(store.sigmas[d * n + 1], sigma, "dense row {d} (id {gid})");
+        }
     }
 }

@@ -15,9 +15,10 @@
 //! * **Spill transparency** — running under a resident budget changes
 //!   the report only in the spill-accounting fields: within one shard
 //!   layout the spilled report is bit-identical, witness included.
-//! * **Kill/resume equivalence** — a sweep halted at a level-k
+//! * **Kill/resume equivalence** — a sweep halted at any level-k
 //!   checkpoint and resumed from disk finishes with a report identical
-//!   to the uninterrupted run (counts, verdict, witness schedule).
+//!   to the uninterrupted run (counts, verdict, witness schedule), at
+//!   one and two threads.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +27,7 @@ use amx_core::{Alg1Automaton, Alg2Automaton, FreeSlotPolicy, MutexSpec};
 use amx_ids::PidPool;
 use amx_registers::Adversary;
 use amx_sim::mc::{McReport, ModelChecker, Symmetry};
-use amx_sim::toys::{NaiveFlagLock, PetersonTwo};
+use amx_sim::toys::{NaiveFlagLock, PetersonTwo, SpinForever};
 use amx_sim::{Automaton, EncodeState, MemoryModel, Verdict};
 
 fn alg1(n: usize, m: usize) -> Vec<Alg1Automaton> {
@@ -196,94 +197,173 @@ fn sharded_matches_single_on_alg2() {
     sharded_differential(|| alg2(3, 1), MemoryModel::Rmw, 1, "alg2(3,1)");
 }
 
-/// Kill-at-level-k / resume equivalence: halting at the first level-k
-/// checkpoint yields `Verdict::Interrupted`, and resuming from the
-/// on-disk checkpoint reproduces the uninterrupted report exactly —
-/// including under a starved resident budget, so the checkpoint write
-/// and the restore both cross the spill machinery.
-fn kill_resume_roundtrip<A, F>(make: F, model: MemoryModel, m: usize, every: u32, what: &str)
+/// One configuration a kill/resume roundtrip explores.
+struct ResumeCase<'a> {
+    what: &'a str,
+    model: MemoryModel,
+    m: usize,
+    adversary: Adversary,
+    symmetry: Symmetry,
+    every: u32,
+}
+
+/// Kill-at-level-k / resume equivalence: at one and two threads, halting
+/// after the k-th checkpoint — for every k the uninterrupted run writes
+/// — yields `Verdict::Interrupted`, and resuming from the on-disk
+/// checkpoint reproduces the uninterrupted report exactly (verdict with
+/// its witness and `scc_states`, and every count), including under a
+/// starved resident budget, so the checkpoint write and the restore
+/// both cross the spill machinery.  Later halts restore more of the
+/// livelock edge table from disk, so a row the checkpoint drops or
+/// misplaces changes the livelock component the resumed run sees.
+fn kill_resume_roundtrip<A, F>(make: F, case: &ResumeCase<'_>)
 where
     A: Automaton + Sync + Clone,
     A::State: EncodeState + Send,
     F: Fn() -> Vec<A>,
 {
-    let dir = TempDir::new("resume");
-    let configure = |mc: ModelChecker<A>| {
-        mc.max_states(2_000_000)
-            .symmetry(Symmetry::Process)
-            .resident_budget(0)
-            .checkpoint_dir(dir.path())
-            .checkpoint_every(every)
+    let what = case.what;
+    let new_checker = || {
+        ModelChecker::with_automata(make(), case.model, case.m, &case.adversary)
+            .unwrap()
+            .max_states(2_000_000)
+            .symmetry(case.symmetry)
     };
-    let baseline = ModelChecker::with_automata(make(), model, m, &Adversary::Identity)
-        .unwrap()
-        .max_states(2_000_000)
-        .symmetry(Symmetry::Process)
-        .run()
-        .unwrap();
+    for threads in [1, 2] {
+        let baseline = new_checker().threads(threads).run().unwrap();
+        let checkpointing = |dir: &TempDir| {
+            new_checker()
+                .threads(threads)
+                .resident_budget(0)
+                .checkpoint_dir(dir.path())
+                .checkpoint_every(case.every)
+        };
+        let full_dir = TempDir::new("resume-full");
+        let full = checkpointing(&full_dir).run().unwrap();
+        assert_equivalent(
+            &baseline,
+            &full,
+            &format!("{what} t{threads} checkpointing"),
+        );
+        assert!(
+            full.checkpoints_written >= 1,
+            "{what}: the uninterrupted run must write a checkpoint"
+        );
+        for k in 1..=full.checkpoints_written {
+            let tag = format!("{what} t{threads} halt@{k}");
+            let dir = TempDir::new("resume");
+            let halted = checkpointing(&dir).halt_after_checkpoints(k).run().unwrap();
+            let Verdict::Interrupted { level, checkpoints } = halted.verdict else {
+                panic!("{tag}: expected an interruption, got {:?}", halted.verdict);
+            };
+            assert_eq!(checkpoints, k, "{tag}: halts right after checkpoint {k}");
+            assert_eq!(
+                level,
+                k * case.every,
+                "{tag}: checkpoints land on level-{} boundaries",
+                case.every
+            );
+            assert!(
+                dir.path().join(format!("mc-{level:08}.ckpt")).is_file(),
+                "{tag}: the level-{level} checkpoint file must exist after the halt"
+            );
+            let resumed = checkpointing(&dir).resume(true).run().unwrap();
+            assert_eq!(
+                resumed.resumed_from_level,
+                Some(level),
+                "{tag}: resume must pick up at the checkpointed level"
+            );
+            assert!(resumed.degraded.is_empty(), "{tag}: {:?}", resumed.degraded);
+            assert_equivalent(&baseline, &resumed, &tag);
+        }
 
-    let halted =
-        configure(ModelChecker::with_automata(make(), model, m, &Adversary::Identity).unwrap())
-            .halt_after_checkpoints(1)
-            .run()
-            .unwrap();
-    let Verdict::Interrupted { level, checkpoints } = halted.verdict else {
-        panic!("{what}: expected an interruption, got {:?}", halted.verdict);
-    };
-    assert_eq!(
-        checkpoints, 1,
-        "{what}: exactly one checkpoint before halting"
-    );
-    assert_eq!(
-        level % every,
-        0,
-        "{what}: checkpoints land on level-{every} boundaries"
-    );
-    assert_eq!(halted.checkpoints_written, 1);
-    assert!(
-        dir.path().join(format!("mc-{level:08}.ckpt")).is_file(),
-        "{what}: the level-{level} checkpoint file must exist after the halt"
-    );
-
-    let resumed =
-        configure(ModelChecker::with_automata(make(), model, m, &Adversary::Identity).unwrap())
+        // A fingerprint mismatch (a smaller max-states bound here) must
+        // refuse the checkpoint rather than silently resume the wrong
+        // run — as a typed McError::Checkpoint, never a panic.
+        let mismatch = new_checker()
+            .threads(threads)
+            .max_states(1_000_000)
+            .checkpoint_dir(full_dir.path())
             .resume(true)
-            .run()
-            .unwrap();
-    assert_eq!(
-        resumed.resumed_from_level,
-        Some(level),
-        "{what}: resume must pick up at the checkpointed level"
-    );
-    assert_equivalent(&baseline, &resumed, &format!("{what} resumed"));
-
-    // A fingerprint mismatch (a smaller max-states bound here) must
-    // refuse the checkpoint rather than silently resume the wrong run —
-    // as a typed McError::Checkpoint, never a panic.
-    let mismatch = ModelChecker::with_automata(make(), model, m, &Adversary::Identity)
-        .unwrap()
-        .max_states(1_000_000)
-        .symmetry(Symmetry::Process)
-        .checkpoint_dir(dir.path())
-        .resume(true)
-        .run();
-    assert!(
-        matches!(mismatch, Err(amx_sim::mc::McError::Checkpoint(_))),
-        "{what}: resuming under an incompatible configuration must be refused \
-         with a typed error, got {mismatch:?}"
-    );
+            .run();
+        assert!(
+            matches!(mismatch, Err(amx_sim::mc::McError::Checkpoint(_))),
+            "{what}: resuming under an incompatible configuration must be refused \
+             with a typed error, got {mismatch:?}"
+        );
+    }
 }
 
 #[test]
 fn kill_and_resume_alg1_livelock() {
     // Invalid configuration: the resumed run must still converge on the
     // same fair-livelock witness schedule.
-    kill_resume_roundtrip(|| alg1(2, 2), MemoryModel::Rw, 2, 3, "alg1(2,2)");
+    kill_resume_roundtrip(
+        || alg1(2, 2),
+        &ResumeCase {
+            what: "alg1(2,2)",
+            model: MemoryModel::Rw,
+            m: 2,
+            adversary: Adversary::Identity,
+            symmetry: Symmetry::Process,
+            every: 3,
+        },
+    );
+}
+
+#[test]
+fn kill_and_resume_alg1_rotations_wreath_livelock() {
+    // Rotations make ρ ≠ id, so the wreath quotient records a
+    // nontrivial group element on its edges and the orbit confirmation
+    // reads them back from the restored rows.
+    let case = ResumeCase {
+        what: "alg1(3,3) rotations/wreath",
+        model: MemoryModel::Rw,
+        m: 3,
+        adversary: Adversary::Rotations { stride: 1 },
+        symmetry: Symmetry::Wreath,
+        every: 4,
+    };
+    let report = ModelChecker::with_automata(alg1(3, 3), case.model, case.m, &case.adversary)
+        .unwrap()
+        .symmetry(case.symmetry)
+        .run()
+        .unwrap();
+    assert!(matches!(report.verdict, Verdict::FairLivelock { .. }));
+    assert_eq!(report.canonical_states, 8_371);
+    kill_resume_roundtrip(|| alg1(3, 3), &case);
+}
+
+#[test]
+fn kill_and_resume_spinners_livelock() {
+    // A lone spinner already livelocks at depth 1, so later halts
+    // restore the livelock component's rows from the checkpoint.
+    kill_resume_roundtrip(
+        || vec![SpinForever, SpinForever, SpinForever],
+        &ResumeCase {
+            what: "spin-forever x3",
+            model: MemoryModel::Rw,
+            m: 1,
+            adversary: Adversary::Identity,
+            symmetry: Symmetry::Off,
+            every: 1,
+        },
+    );
 }
 
 #[test]
 fn kill_and_resume_alg2_verifies() {
-    kill_resume_roundtrip(|| alg2(2, 3), MemoryModel::Rmw, 3, 4, "alg2(2,3)");
+    kill_resume_roundtrip(
+        || alg2(2, 3),
+        &ResumeCase {
+            what: "alg2(2,3)",
+            model: MemoryModel::Rmw,
+            m: 3,
+            adversary: Adversary::Identity,
+            symmetry: Symmetry::Process,
+            every: 4,
+        },
+    );
 }
 
 #[test]
