@@ -52,7 +52,11 @@
 //!                    so any rise means the symmetry group shrank), or
 //!                    if any recorded property/SCC-query outcome
 //!                    changed on a grid-matched point (property
-//!                    regression; exact, no slack)
+//!                    regression; exact, no slack), or if a point's
+//!                    `max_pending_depth` differs from the recorded
+//!                    one (exact: it is a function of the
+//!                    breadth-first tree, the same at any thread
+//!                    count)
 //!
 //! Out-of-core / resumability options (see the `amx-sim` crate docs):
 //!   --resident-budget BYTES  cap the resident arena bytes per point;
@@ -1073,6 +1077,7 @@ fn main() {
         let baseline_points = extract_points(&text);
         let mut matched = 0usize;
         let mut prop_matched = 0usize;
+        let mut depth_matched = 0usize;
         let mut regressed = false;
         for p in &points {
             let Ok(rep) = &p.report else { continue };
@@ -1140,13 +1145,28 @@ fn main() {
                     regressed = true;
                 }
             }
+            // Depth gate: max_pending_depth is a function of the
+            // breadth-first tree, which sorted drains make the same at
+            // any thread count — exact, no slack.
+            if let Some(base_depths) = &base.max_pending_depth {
+                depth_matched += 1;
+                if &rep.max_pending_depth != base_depths {
+                    eprintln!(
+                        "DEPTH REGRESSION: {key} max_pending_depth is now {:?}, \
+                         baseline {path} recorded {base_depths:?}",
+                        rep.max_pending_depth
+                    );
+                    regressed = true;
+                }
+            }
         }
         if regressed {
             std::process::exit(1);
         }
         println!(
             "reduction gate: canonical_states no worse on {matched} grid-matched points; \
-             property gate: {prop_matched} recorded outcomes unchanged"
+             property gate: {prop_matched} recorded outcomes unchanged; \
+             depth gate: max_pending_depth unchanged on {depth_matched} points"
         );
 
         let budget_ms = 3.0 * extract_total_wall_ms(&text).expect("baseline lacks total_wall_ms");
@@ -1184,6 +1204,20 @@ struct BaselinePoint {
     properties: Vec<(String, u64)>,
     /// `"name" → verdict` pairs from the `scc_queries` object.
     scc_queries: Vec<(String, String)>,
+    /// The `max_pending_depth` array, when recorded.
+    max_pending_depth: Option<Vec<usize>>,
+}
+
+/// Extracts a `"key": [ ... ]` array of integers off a point line.
+fn extract_usizes(line: &str, key: &str) -> Option<Vec<usize>> {
+    let at = line.find(&format!("\"{key}\": ["))? + key.len() + 5;
+    let rest = &line[at..];
+    let body = &rest[..rest.find(']')?];
+    body.split(',')
+        .map(str::trim)
+        .filter(|v| !v.is_empty())
+        .map(|v| v.parse().ok())
+        .collect()
 }
 
 /// Extracts a `"key": { ... }` object's flat entries off a point line.
@@ -1248,6 +1282,7 @@ fn extract_points(json: &str) -> Vec<BaselinePoint> {
                     .filter_map(|(k, v)| Some((k, v.parse().ok()?)))
                     .collect(),
                 scc_queries: extract_object(line, "scc_queries"),
+                max_pending_depth: extract_usizes(line, "max_pending_depth"),
             });
         }
     }

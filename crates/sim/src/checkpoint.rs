@@ -5,8 +5,10 @@
 //! per-shard interned arenas (via the spill-invariant
 //! [`StateArena`] snapshot format) and BFS-tree metadata, the livelock
 //! edge table, the pending frontier (as global ids — the bytes are
-//! rematerialized from the arenas on load), the global counters, and
-//! the monitor accumulators.  A 64-bit [`Digest`] of every preceding
+//! rematerialized from the arenas on load — plus each node's pending
+//! depths), the BFS discovery order of the sharded layout, the global
+//! counters, the running `max_pending_depth` maxima and the monitor
+//! accumulators.  A 64-bit [`Digest`] of every preceding
 //! byte ends the file; resume checks it in one streaming pass before
 //! parsing anything, so a flipped bit anywhere is caught before a
 //! corrupt length field can size an allocation.
@@ -35,11 +37,14 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::FaultPlan;
-use crate::intern::{read_u64, write_u64, Digest, StateArena};
+use crate::intern::{read_u64, write_le, write_u64, Digest, StateArena};
 use crate::mc::{EdgeRows, MonitorHit, NodeMeta, Shard};
 
 /// Format magic; bump the trailing digit on layout changes.
-const MAGIC: &[u8; 8] = b"AMXCKPT2";
+const MAGIC: &[u8; 8] = b"AMXCKPT3";
+/// Buffer between the encoder and the file: a checkpoint runs to tens
+/// of megabytes, so fewer, larger writes pay.
+const WRITE_BUFFER: usize = 1 << 20;
 /// How many newest per-level checkpoint files survive a write.
 const RETAIN: usize = 2;
 
@@ -86,8 +91,14 @@ pub(crate) struct Snapshot<'a> {
     pub(crate) peak_frontier: u64,
     pub(crate) orbit_sum: u64,
     pub(crate) monitor_hits: &'a [MonitorHit],
+    /// Running per-position maxima of the pending depths.
+    pub(crate) max_pending: &'a [u16],
     /// The next frontier; only the global ids are persisted.
     pub(crate) frontier: &'a [(u32, Box<[u8]>)],
+    /// The frontier nodes' pending depths, `n` per node.
+    pub(crate) frontier_depths: &'a [u16],
+    /// Global ids in BFS discovery order (empty on one shard).
+    pub(crate) discovery: &'a [u32],
     pub(crate) shards: &'a [Shard],
     pub(crate) rows: &'a EdgeRows,
 }
@@ -100,8 +111,11 @@ pub(crate) struct Restored {
     pub(crate) peak_frontier: u64,
     pub(crate) orbit_sum: u64,
     pub(crate) monitor_hits: Vec<MonitorHit>,
+    pub(crate) max_pending: Vec<u16>,
     /// Frontier global ids; bytes are rematerialized by the caller.
     pub(crate) frontier: Vec<u32>,
+    pub(crate) frontier_depths: Vec<u16>,
+    pub(crate) discovery: Vec<u32>,
     pub(crate) shards: Vec<Shard>,
     /// The livelock edge table ([`EdgeRows`]) and its group elements.
     pub(crate) edges: Vec<u32>,
@@ -122,7 +136,7 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
     fs::create_dir_all(dir)?;
     let name = file_name(snap.level);
     let tmp = dir.join(format!("{name}.tmp"));
-    let mut w = BufWriter::new(DigestWriter::new(File::create(&tmp)?));
+    let mut w = BufWriter::with_capacity(WRITE_BUFFER, DigestWriter::new(File::create(&tmp)?));
     w.write_all(MAGIC)?;
     write_u64(&mut w, snap.fingerprint)?;
     write_u64(&mut w, u64::from(snap.level))?;
@@ -143,29 +157,21 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
             None => write_u64(&mut w, 0)?,
         }
     }
-    write_u64(&mut w, snap.frontier.len() as u64)?;
-    for (gid, _) in snap.frontier {
-        w.write_all(&gid.to_le_bytes())?;
-    }
+    write_vec(&mut w, snap.max_pending, |d| d.to_le_bytes())?;
+    write_vec(&mut w, snap.frontier, |(gid, _)| gid.to_le_bytes())?;
+    write_vec(&mut w, snap.frontier_depths, |d| d.to_le_bytes())?;
+    write_vec(&mut w, snap.discovery, |gid| gid.to_le_bytes())?;
     write_u64(&mut w, snap.shards.len() as u64)?;
     for shard in snap.shards {
         shard.arena.write_snapshot(&mut w)?;
-        write_u64(&mut w, shard.meta.len() as u64)?;
-        for m in &shard.meta {
-            // Parent in the high half, sigma and actor packed low.
-            let packed =
-                (u64::from(m.parent) << 32) | (u64::from(m.sigma) << 8) | u64::from(m.actor);
-            write_u64(&mut w, packed)?;
-        }
+        // Parent in the high half, sigma and actor packed low.
+        write_vec(&mut w, &shard.meta, |m| {
+            ((u64::from(m.parent) << 32) | (u64::from(m.sigma) << 8) | u64::from(m.actor))
+                .to_le_bytes()
+        })?;
     }
-    write_u64(&mut w, snap.rows.edges.len() as u64)?;
-    for e in &snap.rows.edges {
-        w.write_all(&e.to_le_bytes())?;
-    }
-    write_u64(&mut w, snap.rows.sigmas.len() as u64)?;
-    for s in &snap.rows.sigmas {
-        w.write_all(&s.to_le_bytes())?;
-    }
+    write_vec(&mut w, &snap.rows.edges, |e| e.to_le_bytes())?;
+    write_vec(&mut w, &snap.rows.sigmas, |s| s.to_le_bytes())?;
     let mut dw = w.into_inner().map_err(|e| e.into_error())?;
     let digest = dw.digest.finish();
     write_u64(&mut dw.inner, digest)?;
@@ -304,7 +310,10 @@ fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
         };
         monitor_hits.push(MonitorHit { count, best });
     }
+    let max_pending = read_vec(r, "pending-depth maxima", u16::from_le_bytes)?;
     let frontier = read_vec(r, "frontier length", u32::from_le_bytes)?;
+    let frontier_depths = read_vec(r, "frontier depths", u16::from_le_bytes)?;
+    let discovery = read_vec(r, "discovery order", u32::from_le_bytes)?;
     let n_shards = read_len(r, "shard count")?;
     let mut shards = Vec::with_capacity(n_shards);
     for _ in 0..n_shards {
@@ -337,7 +346,10 @@ fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
         peak_frontier,
         orbit_sum,
         monitor_hits,
+        max_pending,
         frontier,
+        frontier_depths,
+        discovery,
         shards,
         edges,
         sigmas,
@@ -350,6 +362,17 @@ fn read_u32_checked(r: &mut impl Read, what: &str) -> io::Result<u32> {
 
 fn read_len(r: &mut impl Read, what: &str) -> io::Result<usize> {
     usize::try_from(read_u64(r)?).map_err(|_| bad_data(what))
+}
+
+/// Writes a length-prefixed array of `N`-byte values, the layout
+/// [`read_vec`] reads back.
+fn write_vec<T, const N: usize>(
+    w: &mut impl Write,
+    values: &[T],
+    to_le: impl Fn(&T) -> [u8; N],
+) -> io::Result<()> {
+    write_u64(w, values.len() as u64)?;
+    write_le(w, values.iter().map(to_le))
 }
 
 /// Reads a length-prefixed array of little-endian `N`-byte values.

@@ -1141,18 +1141,19 @@ impl StateArena {
     pub fn write_snapshot(&self, w: &mut impl Write) -> io::Result<()> {
         w.write_all(SNAPSHOT_MAGIC)?;
         write_u64(w, self.ends.len() as u64)?;
-        for &e in &self.ends {
-            w.write_all(&e.to_le_bytes())?;
-        }
+        write_le(w, self.ends.iter().map(|e| e.to_le_bytes()))?;
         write_u64(w, self.table.len() as u64)?;
-        for &b in &self.table {
-            w.write_all(&b.to_le_bytes())?;
-        }
+        write_le(w, self.table.iter().map(|b| b.to_le_bytes()))?;
         write_u64(w, self.page_bases.len() as u64)?;
-        for &(l, i) in &self.page_bases {
-            w.write_all(&l.to_le_bytes())?;
-            w.write_all(&i.to_le_bytes())?;
-        }
+        write_le(
+            w,
+            self.page_bases.iter().map(|(l, i)| {
+                let mut b = [0u8; 6];
+                b[..2].copy_from_slice(&l.to_le_bytes());
+                b[2..].copy_from_slice(&i.to_le_bytes());
+                b
+            }),
+        )?;
         write_u64(w, self.cur.len() as u64)?;
         w.write_all(&self.cur)?;
         let mut buf = Vec::new();
@@ -1261,6 +1262,25 @@ fn bad_data(what: &str) -> io::Error {
 /// Writes a little-endian `u64`.
 pub(crate) fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
+}
+
+/// Writes fixed-width little-endian renderings back to back, staged in
+/// chunks so a whole chunk costs one `write_all` rather than one call
+/// per value.
+pub(crate) fn write_le<const N: usize>(
+    w: &mut impl Write,
+    values: impl IntoIterator<Item = [u8; N]>,
+) -> io::Result<()> {
+    const CHUNK: usize = 1 << 16;
+    let mut buf = Vec::with_capacity(CHUNK);
+    for v in values {
+        buf.extend_from_slice(&v);
+        if buf.len() + N > CHUNK {
+            w.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    w.write_all(&buf)
 }
 
 /// Reads a little-endian `u64`.

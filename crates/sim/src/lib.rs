@@ -49,16 +49,17 @@
 //!   deques with batch stealing against the frozen seen-set shards,
 //!   then each worker drains its own shards' pending inserts (see
 //!   below).  Exactly the requested number of workers runs.
-//!   Single-threaded remains the default.  The verdict kind and, on
-//!   completing runs, all counts are identical at any thread count;
-//!   only the parallel SCC pass's component order can pick a different
-//!   (equally valid) livelock witness.
-//! * **O(states) memory, parallel SCC** — exploration records each
+//!   Single-threaded remains the default.  Sorted drains make the
+//!   breadth-first tree and discovery order thread-count independent,
+//!   so verdicts, witnesses, counts, `max_pending_depth` and query
+//!   answers are identical at any thread count.
+//! * **O(states) memory, one SCC pass** — exploration records each
 //!   completion-free successor once, in its parent's row of a dense
-//!   `states × n` edge table, and the deadlock-freedom pass runs Tarjan
-//!   on one worker or the trimmed forward–backward decomposition of
-//!   [`scc::parallel_sccs`] on several over that table; no successor is
-//!   generated twice and no transition list is buffered.
+//!   `states × n` edge table, and the deadlock-freedom pass runs one
+//!   flat Tarjan pass ([`scc::tarjan_csr`]) over that table, numbered
+//!   in BFS discovery order; no successor is generated twice and no
+//!   transition list is buffered.  Pending depths ride along with the
+//!   frontier, so `max_pending_depth` needs no pass after BFS.
 //! * **Out-of-core exploration** — the seen set is hash-prefix-sharded
 //!   into worker-owned partitions (parallel levels expand against the
 //!   frozen shards, then each worker exclusively drains its own shards'

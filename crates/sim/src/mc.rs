@@ -57,13 +57,13 @@
 //!   inserts, sorted by `(frontier position, actor)`.  No lock guards
 //!   any intern path, and levels stay synchronized, which keeps
 //!   reported witnesses shortest.  Exactly `t` workers run; one worker
-//!   (the default) takes the sequential single-shard path.  The
-//!   verdict kind, and on completing runs every count, are identical at
-//!   any thread count, and so is the breadth-first tree, because drains
-//!   are sorted.  The one thread-dependent choice left is the SCC pass:
-//!   a multi-worker run decomposes with [`crate::scc::parallel_sccs`],
-//!   whose component order may pick a different (equally valid)
-//!   livelock witness than Tarjan's.
+//!   (the default) takes the sequential single-shard path.  Drains are
+//!   sorted, so the breadth-first tree and the order in which BFS
+//!   discovers states are the same at any thread count.  The livelock
+//!   pass numbers states in that discovery order, so verdicts,
+//!   witnesses, counts and query answers are identical at any thread
+//!   count too; only layout figures (arena and seen-table bytes, spill
+//!   and steal counters) depend on the shard layout.
 //! * [`ModelChecker::progress`] — optional throttled live-progress
 //!   callback (states, exact concrete-orbit accounting, transitions).
 //! * [`ModelChecker::monitor`] — on-the-fly state predicates: fatal
@@ -88,10 +88,12 @@
 //! the edge, with its canonicalizing group element under symmetry, in
 //! the parent's row of a `states × n` edge table indexed by state id
 //! (and checkpointed with the shards).  The deadlock-freedom pass runs
-//! the SCC decomposition — sequential Tarjan on one worker,
-//! [`crate::scc::parallel_sccs`] on several — over that table, so
-//! memory is O(states · n) rather than O(stored transitions) and no
-//! successor is generated twice.
+//! one Tarjan pass ([`crate::scc::tarjan_csr`], flat output, no
+//! allocation per component) over that table on every run, so memory
+//! is O(states · n) rather than O(stored transitions) and no successor
+//! is generated twice.  BFS also carries each frontier node's pending
+//! depths (steps taken inside the current `lock()` call along the tree
+//! path), so [`McReport::max_pending_depth`] needs no pass of its own.
 //!
 //! With `Symmetry::Process` or `Symmetry::Wreath`, the fair-livelock
 //! check runs on the orbit quotient with fairness at the granularity of
@@ -465,8 +467,11 @@ pub struct McReport {
     /// starvation; saturates at `u16::MAX`.  Pure spin steps that leave
     /// the global state unchanged are self-loops, not tree edges, so
     /// they do not extend the metric (unbounded waiting is the
-    /// starvation analysis' job — see `amx-props`).  Populated on
-    /// completing runs (empty after a violation or overflow).  With
+    /// starvation analysis' job — see `amx-props`).  Computed during
+    /// exploration: every frontier node carries its depths, each fresh
+    /// child derives its own from its tree parent's, and checkpoints
+    /// keep the running maxima.  Populated on completing runs (empty
+    /// after a violation, an overflow or an interruption).  With
     /// symmetry reduction active, positions within one symmetry class
     /// are interchangeable, so read per-class maxima.
     pub max_pending_depth: Vec<usize>,
@@ -758,14 +763,11 @@ impl<A: Automaton> ModelChecker<A> {
 
     /// Sets the worker thread count (default 1; zero is treated as 1).
     /// Exactly this many workers run, even past the machine's core
-    /// count.  One worker takes the sequential single-shard path and
-    /// decomposes SCCs with Tarjan; several explore the 64-shard layout
-    /// and decompose with the parallel FW–BW pass.  The verdict kind, and on completing runs
-    /// every count, are identical at any thread count, and so is the
-    /// breadth-first tree (owner drains are sorted by frontier position
-    /// and actor).  The one thread-dependent choice is FW–BW's
-    /// component order, which may report a different, equally valid
-    /// livelock witness than a one-worker run.
+    /// count.  One worker takes the sequential single-shard path;
+    /// several explore the 64-shard layout.  Owner drains are sorted by
+    /// frontier position and actor, so the breadth-first tree and the
+    /// discovery order are the same at any thread count, and with them
+    /// the verdict, its witness, every count and every query answer.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -910,6 +912,11 @@ where
     /// [`McError`] variants on unrecoverable out-of-core I/O failures
     /// (recoverable ones degrade instead — see [`McReport::degraded`]).
     pub fn run(&self) -> Result<McReport, McError> {
+        self.run_with_store().map(|(report, _)| report)
+    }
+
+    /// [`run`](Self::run), also handing back the sealed store.
+    fn run_with_store(&self) -> Result<(McReport, Store), McError> {
         let start = Instant::now();
         let m = self.mem0.m();
         let symmetry = self.symmetry;
@@ -971,20 +978,33 @@ where
         let sigma_rows = group.len() > 1;
         let mut shards: Vec<Shard>;
         let mut rows: EdgeRows;
-        let mut frontier: Vec<(u32, Box<[u8]>)>;
+        let mut frontier: Frontier;
+        // Global ids in BFS discovery order, the dense numbering the
+        // livelock pass uses.  Only the sharded layout records it: on
+        // one shard, ids are handed out in discovery order already.
+        let mut discovery: Vec<u32> = Vec::new();
+        // Running per-position maxima of the frontier nodes' pending
+        // depths (the reported `max_pending_depth`).
+        let mut max_pending: Vec<u16> = vec![0; n];
         if let Some(ck) = restored {
+            let states: usize = ck.shards.iter().map(|s| s.arena.len()).sum();
             if ck.shards.len() != n_shards
                 || ck.edges.len() % n != 0
                 || ck.sigmas.len() != if sigma_rows { ck.edges.len() } else { 0 }
+                || ck.frontier_depths.len() != ck.frontier.len() * n
+                || ck.max_pending.len() != n
+                || ck.discovery.len() != if shard_bits > 0 { states } else { 0 }
             {
                 return Err(McError::Checkpoint(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    "checkpoint shard or edge-table layout does not match this configuration",
+                    "checkpoint shard, edge-table or frontier layout does not match this \
+                     configuration",
                 )));
             }
             shards = ck.shards;
             rows = EdgeRows::new(n, sigma_rows, ck.edges, ck.sigmas);
-            let states: usize = shards.iter().map(|s| s.arena.len()).sum();
+            discovery = ck.discovery;
+            max_pending = ck.max_pending;
             shared.stored.store(states, Ordering::Relaxed);
             shared
                 .orbit_sum
@@ -997,7 +1017,10 @@ where
             resumed_from_level = Some(ck.level);
             // The checkpoint stores frontier *ids*; the bytes come back
             // out of the restored arenas.
-            frontier = Vec::with_capacity(ck.frontier.len());
+            frontier = Frontier {
+                nodes: Vec::with_capacity(ck.frontier.len()),
+                depths: ck.frontier_depths,
+            };
             for &gid in &ck.frontier {
                 let (si, local) = split_gid(gid, shard_bits);
                 let mut bytes = Vec::new();
@@ -1005,7 +1028,7 @@ where
                     .arena
                     .get_into(local, &mut bytes)
                     .map_err(McError::Spill)?;
-                frontier.push((gid, bytes.into_boxed_slice()));
+                frontier.nodes.push((gid, bytes.into_boxed_slice()));
             }
         } else {
             shards = (0..n_shards).map(|_| Shard::default()).collect();
@@ -1053,7 +1076,13 @@ where
                 meta0,
                 orbit0,
             );
-            frontier = vec![(root, scratch.best.as_slice().into())];
+            frontier = Frontier {
+                nodes: vec![(root, scratch.best.as_slice().into())],
+                depths: vec![0; n],
+            };
+            if shard_bits > 0 {
+                discovery.push(root);
+            }
 
             // The initial state is reachable too: monitors see it first.
             for (mi, mon) in self.monitors.iter().enumerate() {
@@ -1093,13 +1122,13 @@ where
 
         let mut halted = false;
         let mut ckpt_enabled = true;
-        while !frontier.is_empty()
+        while !frontier.nodes.is_empty()
             && violation.is_none()
             && prop_violation.is_none()
             && !shared.overflow.load(Ordering::Relaxed)
             && !halted
         {
-            peak_frontier = peak_frontier.max(frontier.len());
+            peak_frontier = peak_frontier.max(frontier.nodes.len());
             let out = if workers == 1 {
                 process_chunk(&shared, &mut shards, &mut rows, &frontier, &mut scratch)
             } else {
@@ -1140,13 +1169,21 @@ where
                 *lb = None;
             }
             frontier = out.next;
+            for row in frontier.depths.chunks_exact(n) {
+                for (max, &d) in max_pending.iter_mut().zip(row) {
+                    *max = (*max).max(d);
+                }
+            }
+            if shard_bits > 0 {
+                discovery.extend(frontier.nodes.iter().map(|&(gid, _)| gid));
+            }
             completed_levels += 1;
             if let Some(e) = shared.spill_error.lock().take() {
                 return Err(McError::Spill(e));
             }
             if let Some(dir) = ckpt_dir {
                 if ckpt_enabled
-                    && !frontier.is_empty()
+                    && !frontier.nodes.is_empty()
                     && violation.is_none()
                     && prop_violation.is_none()
                     && !shared.overflow.load(Ordering::Relaxed)
@@ -1160,7 +1197,10 @@ where
                         peak_frontier: peak_frontier as u64,
                         orbit_sum: shared.orbit_sum.load(Ordering::Relaxed) as u64,
                         monitor_hits: &monitor_hits,
-                        frontier: &frontier,
+                        max_pending: &max_pending,
+                        frontier: &frontier.nodes,
+                        frontier_depths: &frontier.depths,
+                        discovery: &discovery,
                         shards: &shards,
                         rows: &rows,
                     };
@@ -1201,7 +1241,7 @@ where
         let full_states_estimate = shared.orbit_sum.load(Ordering::Relaxed);
         let overflowed = shared.overflow.load(Ordering::Relaxed);
         let steal_count = shared.steals.load(Ordering::Relaxed);
-        let store = Store::new(shards, shard_bits, rows);
+        let store = Store::new(shards, shard_bits, rows, discovery);
         degraded.extend(store.degraded_notes());
         let mut report = McReport {
             verdict: Verdict::Ok,
@@ -1239,7 +1279,7 @@ where
                 schedule,
                 procs: (tau_inv[v.other], tau_inv[v.actor]),
             };
-            return Ok(finish_report(report, &store, start));
+            return Ok((finish_report(report, &store, start), store));
         }
         if let Some(p) = prop_violation {
             let chain = chain_from_root(&store, p.node);
@@ -1248,7 +1288,7 @@ where
                 property: self.monitors[p.monitor as usize].name.clone(),
                 schedule,
             };
-            return Ok(finish_report(report, &store, start));
+            return Ok((finish_report(report, &store, start), store));
         }
         if overflowed {
             return Err(McError::StateSpaceExceeded(StateSpaceExceeded {
@@ -1260,21 +1300,20 @@ where
                 level: completed_levels,
                 checkpoints: checkpoints_written,
             };
-            return Ok(finish_report(report, &store, start));
+            return Ok((finish_report(report, &store, start), store));
         }
 
-        report.max_pending_depth =
-            max_pending_depth::<A::State>(&store, &group, m, self.automata.len())?;
+        report.max_pending_depth = max_pending.into_iter().map(usize::from).collect();
 
         let scc_start = Instant::now();
         if let Some((verdict, queries)) =
-            self.find_fair_livelock(&store, &group, &class_of, &mut scratch, workers)?
+            self.find_fair_livelock(&store, &group, &class_of, &mut scratch)?
         {
             report.verdict = verdict;
             report.scc_queries = queries;
         }
         report.scc_wall_time = scc_start.elapsed();
-        Ok(finish_report(report, &store, start))
+        Ok((finish_report(report, &store, start), store))
     }
 
     /// A configuration fingerprint for checkpoint compatibility:
@@ -1336,18 +1375,18 @@ where
     /// Fair-livelock search on the completion-free subgraph.
     ///
     /// Runs over the dense edge table exploration recorded
-    /// ([`Store::edges`]), so no automaton is stepped here: the SCC
-    /// decomposition — the parallel FW–BW pass on multi-worker runs
-    /// (sorted to a deterministic traversal order), sequential Tarjan
-    /// on one worker — and the per-component fairness scan read only
-    /// the table and each candidate's decoded phases.
+    /// ([`Store::edges`]), so no automaton is stepped here: one flat
+    /// Tarjan pass decomposes the table, and the per-component fairness
+    /// scan reads only the table and each candidate's decoded phases.
+    /// Dense ids follow BFS discovery order, which is the same at any
+    /// thread count, so the components — and the first one that
+    /// livelocks — are too.
     fn find_fair_livelock(
         &self,
         store: &Store,
         group: &[SymElem],
         class_of: &[usize],
         scratch: &mut Scratch<A::State>,
-        workers: usize,
     ) -> Result<Option<(Verdict, Vec<SccQueryResult>)>, SpillError> {
         let n_states = store.node_count();
         let n = self.automata.len();
@@ -1356,33 +1395,12 @@ where
             return Ok(None);
         }
         let csr = &store.edges;
-
-        // SCC decomposition over the table.  Tarjan emits in
-        // reverse topological order; the parallel decomposition emits in
-        // scheduling order, so its output is normalized (components
-        // sorted by least member) to keep the candidate scan — and
-        // hence any reported witness — deterministic per thread count.
-        let sccs = if workers > 1 {
-            let mut sccs = scc::parallel_sccs(n_states, n, csr, workers);
-            for c in &mut sccs {
-                c.sort_unstable();
-            }
-            sccs.sort_unstable_by_key(|c| c[0]);
-            sccs
-        } else {
-            scc::tarjan_sccs_csr(n_states, n, csr)
-        };
-
-        // Component id per node for internal-edge testing.
-        let mut comp = vec![u32::MAX; n_states];
-        for (cid, members) in sccs.iter().enumerate() {
-            for &v in members {
-                comp[v as usize] = cid as u32;
-            }
-        }
+        let sccs = scc::tarjan_csr(n_states, n, csr);
+        let comp = sccs.comp();
         let n_classes = class_of.iter().copied().max().unwrap_or(0) + 1;
         let gtab = (group.len() > 1).then(|| group_tables(group));
-        for members in &sccs {
+        for cid in 0..sccs.len() {
+            let members = sccs.members(cid);
             // Singleton components without a self-loop — the vast
             // majority on Ok verdicts — cannot carry an infinite
             // execution; skip them before decoding anything.
@@ -1489,9 +1507,8 @@ where
             let gtab = gtab
                 .as_ref()
                 .expect("tables exist whenever the group is nontrivial");
-            let cid = comp[members[0] as usize];
-            if let Some(v) =
-                self.confirm_livelock_on_orbit(store, group, gtab, members, &comp, cid, scratch)?
+            if let Some(v) = self
+                .confirm_livelock_on_orbit(store, group, gtab, members, comp, cid as u32, scratch)?
             {
                 return Ok(Some(v));
             }
@@ -1584,18 +1601,14 @@ where
             }
         }
 
-        let sub_sccs = scc::tarjan_sccs_csr(k_nodes, n, &adj);
-        let mut sub_comp = vec![u32::MAX; k_nodes];
-        for (sc_id, s) in sub_sccs.iter().enumerate() {
-            for &v in s {
-                sub_comp[v as usize] = sc_id as u32;
-            }
-        }
+        let sub_sccs = scc::tarjan_csr(k_nodes, n, &adj);
+        let sub_comp = sub_sccs.comp();
         let phase_at = |x: usize, j: usize| {
             let (vi, gi) = (x / gl, x % gl);
             phases_q[vi * n + group[gi].pi_inv[j]]
         };
-        for sub in &sub_sccs {
+        for sc_id in 0..sub_sccs.len() {
+            let sub = sub_sccs.members(sc_id);
             let mut actors = vec![false; n];
             let mut has_edge = false;
             for &v in sub {
@@ -2245,8 +2258,45 @@ impl<S> Scratch<S> {
     }
 }
 
+/// One breadth-first level: every node's global id and encoding, in
+/// frontier order, plus its pending depths.
+#[derive(Default)]
+struct Frontier {
+    nodes: Vec<(u32, Box<[u8]>)>,
+    /// `n` entries per node: at canonical position `j`, the steps that
+    /// position has taken inside its current `lock()` call along the
+    /// node's BFS-tree path (saturating; zero unless `Trying`).
+    depths: Vec<u16>,
+}
+
+/// Bit `i` set when process `i` is `Trying`.
+fn trying_mask<S>(procs: &[(Phase, S)]) -> u64 {
+    procs
+        .iter()
+        .enumerate()
+        .filter(|(_, (phase, _))| *phase == Phase::Trying)
+        .fold(0, |mask, (i, _)| mask | 1 << i)
+}
+
+/// Appends a fresh child's pending depths to `out`.  `parent` holds its
+/// BFS-tree parent's depths; the child is the successor in which
+/// `actor` stepped (a crash actor matches no position), whose concrete
+/// positions `trying` marks `Trying`, canonicalized by a group element
+/// with role map `pi`.  Concrete position `i` continues the parent's
+/// position `i` — one step longer if it was the actor — and lands at
+/// canonical position `pi[i]`.
+fn push_child_depths(out: &mut Vec<u16>, parent: &[u16], trying: u64, actor: usize, pi: &[usize]) {
+    let base = out.len();
+    out.resize(base + parent.len(), 0);
+    for (i, &d) in parent.iter().enumerate() {
+        if trying >> i & 1 == 1 {
+            out[base + pi[i]] = d.saturating_add(u16::from(i == actor));
+        }
+    }
+}
+
 struct WorkerOut {
-    next: Vec<(u32, Box<[u8]>)>,
+    next: Frontier,
     /// Livelock edges to already-interned children, found by a sharded
     /// expand worker's frozen probe (the sequential sink records edges
     /// in place).
@@ -2263,7 +2313,7 @@ struct WorkerOut {
 impl WorkerOut {
     fn new(n_monitors: usize) -> Self {
         WorkerOut {
-            next: Vec::new(),
+            next: Frontier::default(),
             edges: Vec::new(),
             acquisitions: 0,
             transitions: 0,
@@ -2504,14 +2554,15 @@ fn process_chunk<A: Automaton>(
     shared: &EngineShared<'_, A>,
     shards: &mut [Shard],
     rows: &mut EdgeRows,
-    frontier: &[(u32, Box<[u8]>)],
+    frontier: &Frontier,
     scratch: &mut Scratch<A::State>,
 ) -> WorkerOut
 where
     A::State: EncodeState,
 {
+    let n = shared.automata.len();
     let mut out = WorkerOut::new(shared.monitors.len());
-    for (pos, (gid, bytes)) in frontier.iter().enumerate() {
+    for (pos, (gid, bytes)) in frontier.nodes.iter().enumerate() {
         if shared.overflow.load(Ordering::Relaxed) {
             break;
         }
@@ -2537,7 +2588,14 @@ where
                     rows.set(gid, actor, child, sigma);
                 }
                 if fresh {
-                    out.next.push((child, sc.best.as_slice().into()));
+                    out.next.nodes.push((child, sc.best.as_slice().into()));
+                    push_child_depths(
+                        &mut out.next.depths,
+                        &frontier.depths[pos * n..(pos + 1) * n],
+                        trying_mask(&sc.procs),
+                        actor,
+                        &shared.group[usize::from(sigma)].pi,
+                    );
                     let order = (pos, actor);
                     for (mi, mon) in shared.monitors.iter().enumerate() {
                         if (mon.eval)(sc.mem.slots(), &sc.procs) {
@@ -2603,6 +2661,20 @@ struct PendingInsert {
     sigma: u16,
     orbit: u32,
     mon_mask: u64,
+    /// [`trying_mask`] of the concrete successor: with the parent's
+    /// depths, all a fresh insert needs for its own.
+    trying: u64,
+    bytes: Box<[u8]>,
+}
+
+/// A child the owner drain interned fresh, with what the next frontier
+/// needs of it.
+struct FreshChild {
+    pos: u32,
+    actor: u8,
+    sigma: u16,
+    trying: u64,
+    gid: u32,
     bytes: Box<[u8]>,
 }
 
@@ -2630,21 +2702,23 @@ struct PendingInsert {
 /// (and spills) independently.  After each round the livelock edges
 /// both phases resolved are recorded.  The fresh children of all
 /// rounds are merged and sorted by `(pos, actor)` into the next
-/// frontier, again matching sequential order.
+/// frontier, again matching sequential order; each takes its pending
+/// depths from the drain winner, which is its BFS-tree parent.
 fn run_level_sharded<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shards: &mut [Shard],
     rows: &mut EdgeRows,
-    frontier: &[(u32, Box<[u8]>)],
+    frontier: &Frontier,
     workers: usize,
 ) -> WorkerOut
 where
     A::State: EncodeState + Send,
 {
+    let n = shared.automata.len();
     let n_shards = shards.len();
     let mut out = WorkerOut::new(shared.monitors.len());
-    let mut fresh: Vec<(u32, u8, u32, Box<[u8]>)> = Vec::new();
-    for (ci, chunk) in frontier.chunks(LEVEL_CHUNK).enumerate() {
+    let mut fresh: Vec<FreshChild> = Vec::new();
+    for (ci, chunk) in frontier.nodes.chunks(LEVEL_CHUNK).enumerate() {
         if shared.overflow.load(Ordering::Relaxed) || out.found_stop() {
             break;
         }
@@ -2703,11 +2777,20 @@ where
             rows.set(parent, actor, child, sigma);
         }
     }
-    fresh.sort_unstable_by_key(|&(pos, actor, _, _)| (pos, actor));
-    out.next = fresh
-        .into_iter()
-        .map(|(_, _, gid, bytes)| (gid, bytes))
-        .collect();
+    fresh.sort_unstable_by_key(|c| (c.pos, c.actor));
+    out.next.nodes.reserve_exact(fresh.len());
+    out.next.depths.reserve_exact(fresh.len() * n);
+    for c in fresh {
+        let pos = c.pos as usize;
+        push_child_depths(
+            &mut out.next.depths,
+            &frontier.depths[pos * n..(pos + 1) * n],
+            c.trying,
+            usize::from(c.actor),
+            &shared.group[usize::from(c.sigma)].pi,
+        );
+        out.next.nodes.push((c.gid, c.bytes));
+    }
     out
 }
 
@@ -2861,6 +2944,7 @@ where
                         sigma,
                         orbit,
                         mon_mask,
+                        trying: trying_mask(&sc.procs),
                         bytes: sc.best.as_slice().into(),
                     });
                 },
@@ -2872,9 +2956,9 @@ where
 
 /// Phase-2 accumulator of one owner worker.
 struct OwnerOut {
-    /// Freshly interned children as `(pos, actor, gid, bytes)`; the
-    /// caller sorts them into the next frontier.
-    fresh: Vec<(u32, u8, u32, Box<[u8]>)>,
+    /// Freshly interned children; the caller sorts them into the next
+    /// frontier.
+    fresh: Vec<FreshChild>,
     /// Livelock edges to the drained children, fresh or not.
     edges: Vec<LivelockEdge>,
     monitor_hits: Vec<MonitorHit>,
@@ -2935,7 +3019,14 @@ fn drain_owner<A: Automaton>(
                     }
                 }
             }
-            oo.fresh.push((p.pos, p.actor, gid, p.bytes));
+            oo.fresh.push(FreshChild {
+                pos: p.pos,
+                actor: p.actor,
+                sigma: p.sigma,
+                trying: p.trying,
+                gid,
+                bytes: p.bytes,
+            });
         }
     }
     oo
@@ -3070,10 +3161,17 @@ fn expand_node<A: Automaton>(
 }
 
 /// Read-only view of the interned shards after exploration.
+///
+/// The livelock pass numbers states densely in BFS discovery order —
+/// the root, then each level's frontier in order — which is the same at
+/// any thread count.
 struct Store {
     shards: Vec<Shard>,
     shard_bits: u32,
-    prefix: Vec<u32>,
+    n_states: usize,
+    /// Global id of every dense id; empty on the single-shard layout,
+    /// whose ids are the dense ids.
+    discovery: Vec<u32>,
     /// The livelock edge table in dense order, children as dense ids:
     /// entry `v*n + k` is actor `k`'s `Progress` successor of
     /// dense node `v`, or [`scc::NO_EDGE`].
@@ -3086,22 +3184,25 @@ struct Store {
 impl Store {
     /// Seals the shards for read-mostly use: growth slack is dropped
     /// (so [`Store::arena_bytes`] reports resident bytes, not
-    /// capacity), the shard-prefix index is built, and the edge table
-    /// is reordered into dense order.
-    fn new(mut shards: Vec<Shard>, shard_bits: u32, rows: EdgeRows) -> Self {
-        let mut prefix = Vec::with_capacity(shards.len() + 1);
-        let mut acc = 0u32;
-        prefix.push(0);
+    /// capacity) and the edge table is reordered into dense order.
+    /// `discovery` lists every stored state's global id in discovery
+    /// order, or is empty on the single-shard layout.
+    fn new(mut shards: Vec<Shard>, shard_bits: u32, rows: EdgeRows, discovery: Vec<u32>) -> Self {
         for s in &mut shards {
             s.arena.shrink_to_fit();
             s.meta.shrink_to_fit();
-            acc += s.arena.len() as u32;
-            prefix.push(acc);
         }
+        let n_states = shards.iter().map(|s| s.arena.len()).sum();
+        debug_assert_eq!(
+            discovery.len(),
+            if shard_bits > 0 { n_states } else { 0 },
+            "every stored state is discovered exactly once"
+        );
         let mut store = Store {
             shards,
             shard_bits,
-            prefix,
+            n_states,
+            discovery,
             edges: Vec::new(),
             sigmas: Vec::new(),
         };
@@ -3111,14 +3212,15 @@ impl Store {
             mut sigmas,
             sigma_rows,
         } = rows;
-        store.rows_to_dense(&mut edges, n, scc::NO_EDGE);
+        let dense_of = store.dense_of_gid();
+        rows_to_dense(&mut edges, n, scc::NO_EDGE, &dense_of, n_states);
         for w in &mut edges {
             if *w != scc::NO_EDGE {
-                *w = store.dense(*w) as u32;
+                *w = dense_of[*w as usize];
             }
         }
         if sigma_rows {
-            store.rows_to_dense(&mut sigmas, n, 0);
+            rows_to_dense(&mut sigmas, n, 0, &dense_of, n_states);
         }
         store.edges = edges;
         store.sigmas = sigmas;
@@ -3126,7 +3228,7 @@ impl Store {
     }
 
     fn node_count(&self) -> usize {
-        *self.prefix.last().expect("nonempty prefix") as usize
+        self.n_states
     }
 
     /// Logical (uncompressed-page-inclusive) arena bytes across all
@@ -3183,47 +3285,54 @@ impl Store {
             .collect()
     }
 
-    /// Dense index (shard-major) of a global id.
-    fn dense(&self, gid: u32) -> usize {
-        let (si, local) = split_gid(gid, self.shard_bits);
-        (self.prefix[si] + local) as usize
-    }
-
-    /// Reorders id-indexed rows of `n` entries into dense order in
-    /// place, one permutation cycle at a time, so no second table is
-    /// allocated; rows of ids no state holds are dropped.
-    fn rows_to_dense<T: Copy>(&self, rows: &mut Vec<T>, n: usize, fill: T) {
-        let dense_of = |id: usize| {
-            let (si, local) = split_gid(id as u32, self.shard_bits);
-            ((local as usize) < self.shards[si].arena.len()).then(|| self.dense(id as u32))
-        };
-        let longest = self.shards.iter().map(|s| s.arena.len()).max();
-        let ids = longest.unwrap_or(0) << self.shard_bits;
-        rows.resize(rows.len().max(ids * n), fill);
-        let mut picked = vec![false; ids];
-        let mut carry = vec![fill; n];
-        for start in 0..ids {
-            // Each swap parks the carried row at its dense position and
-            // picks up the row of the id equal to that position, which
-            // is still in place unless it started a cycle already.
-            carry.copy_from_slice(&rows[start * n..(start + 1) * n]);
-            let mut id = start;
-            while let Some(to) = dense_of(id).filter(|_| !picked[id]) {
-                picked[id] = true;
-                rows[to * n..(to + 1) * n].swap_with_slice(&mut carry);
-                id = to;
-            }
+    /// The dense id of every global id, indexed by global id
+    /// ([`scc::NO_EDGE`] for ids no state holds).
+    fn dense_of_gid(&self) -> Vec<u32> {
+        if self.discovery.is_empty() {
+            return (0..self.n_states as u32).collect();
         }
-        rows.truncate(self.node_count() * n);
-        rows.shrink_to_fit();
+        let longest = self.shards.iter().map(|s| s.arena.len()).max();
+        let mut dense_of = vec![scc::NO_EDGE; longest.unwrap_or(0) << self.shard_bits];
+        for (d, &gid) in self.discovery.iter().enumerate() {
+            dense_of[gid as usize] = d as u32;
+        }
+        dense_of
     }
 
-    /// Inverse of [`Store::dense`].
+    /// Global id of a dense id.
     fn gid_of_dense(&self, d: usize) -> u32 {
-        let si = self.prefix.partition_point(|&p| p as usize <= d) - 1;
-        let local = d as u32 - self.prefix[si];
-        (local << self.shard_bits) | si as u32
+        if self.discovery.is_empty() {
+            d as u32
+        } else {
+            self.discovery[d]
+        }
     }
+}
+
+/// Reorders id-indexed rows of `n` entries into dense order in place,
+/// one permutation cycle at a time, so no second table is allocated;
+/// rows of ids no state holds are dropped.  `dense_of` maps each id to
+/// its dense id ([`scc::NO_EDGE`] where no state holds the id).
+fn rows_to_dense<T: Copy>(rows: &mut Vec<T>, n: usize, fill: T, dense_of: &[u32], n_states: usize) {
+    let ids = dense_of.len();
+    rows.resize(rows.len().max(ids * n), fill);
+    let mut picked = vec![false; ids];
+    let mut carry = vec![fill; n];
+    for start in 0..ids {
+        // Each swap parks the carried row at its dense position and
+        // picks up the row of the id equal to that position, which is
+        // still in place unless it started a cycle already.
+        carry.copy_from_slice(&rows[start * n..(start + 1) * n]);
+        let mut id = start;
+        while dense_of[id] != scc::NO_EDGE && !picked[id] {
+            picked[id] = true;
+            let to = dense_of[id] as usize;
+            rows[to * n..(to + 1) * n].swap_with_slice(&mut carry);
+            id = to;
+        }
+    }
+    rows.truncate(n_states * n);
+    rows.shrink_to_fit();
 }
 
 /// Renders a decoded node for humans: physical slot owners (raw
@@ -3251,93 +3360,6 @@ fn render_state<S: std::fmt::Debug>(slots: &[Slot], procs: &[(Phase, S)]) -> Str
     }
     out.push(']');
     out
-}
-
-/// Per-position longest observed wait over the breadth-first tree.
-///
-/// For every stored node, a process position's *pending depth* is the
-/// number of steps that position has taken inside its current `lock()`
-/// invocation (its `Trying` phase) along the node's BFS-tree path; the
-/// returned vector is the maximum per position over all nodes
-/// (saturating at `u16::MAX`).  Along a tree edge with canonicalizing
-/// element `σ`, the child's position `j` continues the parent's
-/// position `σ.pi_inv[j]`, incrementing exactly when that position was
-/// the stepped actor and the position is (still) `Trying`, and
-/// resetting to zero on any other phase.
-///
-/// One decode per stored node, O(states · n) transient memory.
-fn max_pending_depth<S: EncodeState>(
-    store: &Store,
-    group: &[SymElem],
-    m: usize,
-    n: usize,
-) -> Result<Vec<usize>, SpillError> {
-    let n_states = store.node_count();
-    if n_states == 0 {
-        return Ok(vec![0; n]);
-    }
-    // Children lists: a CSR over the tree's parent pointers.
-    let mut child_count = vec![0u32; n_states];
-    let mut root = usize::MAX;
-    for d in 0..n_states {
-        let meta = store.meta(store.gid_of_dense(d));
-        if meta.parent == u32::MAX {
-            root = d;
-        } else {
-            child_count[store.dense(meta.parent)] += 1;
-        }
-    }
-    debug_assert_ne!(root, usize::MAX, "the tree has a root");
-    let mut start = vec![0u32; n_states + 1];
-    for i in 0..n_states {
-        start[i + 1] = start[i] + child_count[i];
-    }
-    let mut fill = start.clone();
-    let mut children = vec![0u32; n_states - 1];
-    for d in 0..n_states {
-        let meta = store.meta(store.gid_of_dense(d));
-        if meta.parent != u32::MAX {
-            let p = store.dense(meta.parent);
-            children[fill[p] as usize] = d as u32;
-            fill[p] += 1;
-        }
-    }
-
-    let mut depth = vec![0u16; n_states * n];
-    let mut maxima = vec![0u16; n];
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut procs: Vec<(Phase, S)> = Vec::new();
-    let mut crashes: Vec<u8> = Vec::new();
-    let mut node: Vec<u8> = Vec::new();
-    let mut cache = PageCache::new();
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    queue.push_back(root as u32);
-    while let Some(v) = queue.pop_front() {
-        let v = v as usize;
-        for &c in &children[start[v] as usize..start[v + 1] as usize] {
-            let c = c as usize;
-            let meta = store.meta(store.gid_of_dense(c));
-            store.bytes_into(store.gid_of_dense(c), &mut cache, &mut node)?;
-            decode_node::<S>(&node, m, n, &mut slots, &mut procs, &mut crashes);
-            let pi_inv = &group[meta.sigma as usize].pi_inv;
-            for j in 0..n {
-                let pj = pi_inv[j];
-                // A crash edge (actor has the high bit set) never
-                // equals pj, so crashes reset/hold but never extend a
-                // pending depth — the crashed position drops to
-                // Remainder and its depth to zero anyway.
-                depth[c * n + j] = if procs[j].0 == Phase::Trying {
-                    let d = depth[v * n + pj].saturating_add(u16::from(pj == meta.actor as usize));
-                    maxima[j] = maxima[j].max(d);
-                    d
-                } else {
-                    0
-                };
-            }
-            queue.push_back(c as u32);
-        }
-    }
-    Ok(maxima.into_iter().map(usize::from).collect())
 }
 
 /// The BFS-tree edges from the root to `target`, in root-first order.
@@ -4106,6 +4128,175 @@ mod tests {
         assert!(procs.iter().all(|(p, _)| *p == Phase::Trying));
     }
 
+    /// The post-exploration pass `max_pending_depth` replaced: per-position
+    /// longest observed wait over the breadth-first tree, walked
+    /// root-first over a children CSR built from the parent pointers.
+    ///
+    /// For every stored node, a process position's *pending depth* is the
+    /// number of steps that position has taken inside its current `lock()`
+    /// invocation (its `Trying` phase) along the node's BFS-tree path; the
+    /// returned vector is the maximum per position over all nodes
+    /// (saturating at `u16::MAX`).  Along a tree edge with canonicalizing
+    /// element `σ`, the child's position `j` continues the parent's
+    /// position `σ.pi_inv[j]`, incrementing exactly when that position was
+    /// the stepped actor and the position is (still) `Trying`, and
+    /// resetting to zero on any other phase.
+    ///
+    /// One decode per stored node, O(states · n) transient memory.
+    fn max_pending_depth_oracle<S: EncodeState>(
+        store: &Store,
+        group: &[SymElem],
+        m: usize,
+        n: usize,
+    ) -> Result<Vec<usize>, SpillError> {
+        let n_states = store.node_count();
+        if n_states == 0 {
+            return Ok(vec![0; n]);
+        }
+        let dense_of = store.dense_of_gid();
+        // Children lists: a CSR over the tree's parent pointers.
+        let mut child_count = vec![0u32; n_states];
+        let mut root = usize::MAX;
+        for d in 0..n_states {
+            let meta = store.meta(store.gid_of_dense(d));
+            if meta.parent == u32::MAX {
+                root = d;
+            } else {
+                child_count[dense_of[meta.parent as usize] as usize] += 1;
+            }
+        }
+        debug_assert_ne!(root, usize::MAX, "the tree has a root");
+        let mut start = vec![0u32; n_states + 1];
+        for i in 0..n_states {
+            start[i + 1] = start[i] + child_count[i];
+        }
+        let mut fill = start.clone();
+        let mut children = vec![0u32; n_states - 1];
+        for d in 0..n_states {
+            let meta = store.meta(store.gid_of_dense(d));
+            if meta.parent != u32::MAX {
+                let p = dense_of[meta.parent as usize] as usize;
+                children[fill[p] as usize] = d as u32;
+                fill[p] += 1;
+            }
+        }
+
+        let mut depth = vec![0u16; n_states * n];
+        let mut maxima = vec![0u16; n];
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut procs: Vec<(Phase, S)> = Vec::new();
+        let mut crashes: Vec<u8> = Vec::new();
+        let mut node: Vec<u8> = Vec::new();
+        let mut cache = PageCache::new();
+        let mut queue: VecDeque<u32> = VecDeque::new();
+        queue.push_back(root as u32);
+        while let Some(v) = queue.pop_front() {
+            let v = v as usize;
+            for &c in &children[start[v] as usize..start[v + 1] as usize] {
+                let c = c as usize;
+                let meta = store.meta(store.gid_of_dense(c));
+                store.bytes_into(store.gid_of_dense(c), &mut cache, &mut node)?;
+                decode_node::<S>(&node, m, n, &mut slots, &mut procs, &mut crashes);
+                let pi_inv = &group[meta.sigma as usize].pi_inv;
+                for j in 0..n {
+                    let pj = pi_inv[j];
+                    // A crash edge (actor has the high bit set) never
+                    // equals pj, so crashes reset/hold but never extend a
+                    // pending depth — the crashed position drops to
+                    // Remainder and its depth to zero anyway.
+                    depth[c * n + j] = if procs[j].0 == Phase::Trying {
+                        let d =
+                            depth[v * n + pj].saturating_add(u16::from(pj == meta.actor as usize));
+                        maxima[j] = maxima[j].max(d);
+                        d
+                    } else {
+                        0
+                    };
+                }
+                queue.push_back(c as u32);
+            }
+        }
+        Ok(maxima.into_iter().map(usize::from).collect())
+    }
+
+    /// Pending depths computed during BFS equal the tree oracle's over
+    /// symmetry × threads × crashes × spill budget, on CAS locks (long
+    /// waits, crash edges in the tree) and on spinners over a rotated
+    /// memory (group elements with `ρ ≠ id`).
+    #[test]
+    fn fused_pending_depths_match_the_tree_oracle() {
+        fn assert_matches<A: Automaton + Sync>(mc: ModelChecker<A>, what: &str) -> Vec<usize>
+        where
+            A::State: EncodeState + Send,
+        {
+            let (report, store) = mc.run_with_store().unwrap();
+            let (group, _) = build_group(&mc.automata, &mc.mem0, mc.symmetry);
+            let oracle = max_pending_depth_oracle::<A::State>(
+                &store,
+                &group,
+                mc.mem0.m(),
+                mc.automata.len(),
+            )
+            .unwrap();
+            assert_eq!(report.max_pending_depth, oracle, "{what}");
+            oracle
+        }
+        fn configure<A: Automaton>(
+            mut mc: ModelChecker<A>,
+            symmetry: Symmetry,
+            threads: usize,
+            crash: Option<CrashMode>,
+            budget: Option<usize>,
+        ) -> ModelChecker<A> {
+            mc = mc.symmetry(symmetry).threads(threads);
+            if let Some(mode) = crash {
+                mc = mc.crashes(CrashBudget::total(1), mode);
+            }
+            if let Some(bytes) = budget {
+                mc = mc.resident_budget(bytes);
+            }
+            mc
+        }
+        let crash_modes = [
+            None,
+            Some(CrashMode::WipeRegisters),
+            Some(CrashMode::StaleClaims),
+        ];
+        for symmetry in [Symmetry::Off, Symmetry::Process, Symmetry::Wreath] {
+            for threads in [1, 2] {
+                for crash in crash_modes {
+                    for budget in [None, Some(0)] {
+                        let what = format!("{symmetry:?} t{threads} {crash:?} budget {budget:?}");
+                        let ids = PidPool::sequential().mint_many(3);
+                        let cas = ModelChecker::with_automata(
+                            ids.into_iter().map(CasLock::new).collect(),
+                            MemoryModel::Rmw,
+                            1,
+                            &Adversary::Identity,
+                        )
+                        .unwrap();
+                        let depths = assert_matches(
+                            configure(cas, symmetry, threads, crash, budget),
+                            &format!("cas {what}"),
+                        );
+                        assert!(depths.iter().any(|&d| d >= 1), "cas {what}: {depths:?}");
+                        let spin = ModelChecker::with_automata(
+                            vec![SpinForever, SpinForever, SpinForever],
+                            MemoryModel::Rw,
+                            3,
+                            &Adversary::Rotations { stride: 1 },
+                        )
+                        .unwrap();
+                        assert_matches(
+                            configure(spin, symmetry, threads, crash, budget),
+                            &format!("spin {what}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn max_pending_depth_is_reported_and_sane() {
         // CasLock n=2: a process can spin in Trying while the other
@@ -4344,19 +4535,23 @@ mod tests {
                 shard
             })
             .collect();
-        let gids: Vec<u32> = (0..4u32)
+        // Discovery interleaves the shards (local-major), so dense
+        // order differs from the shard-major id order.
+        let mut discovery: Vec<u32> = (0..4u32)
             .flat_map(|si| (0..lens[si as usize]).map(move |l| (l << shard_bits) | si))
             .collect();
+        discovery.sort_by_key(|&gid| (gid >> shard_bits, gid));
         let mut rows = EdgeRows::new(n, true, Vec::new(), Vec::new());
-        for &gid in &gids {
+        for &gid in &discovery {
             if gid < 14 {
-                rows.set(gid, 1, gids[0], gid as u16);
+                rows.set(gid, 1, discovery[0], gid as u16);
             }
         }
-        let store = Store::new(shards, shard_bits, rows);
-        assert_eq!(store.edges.len(), gids.len() * n);
-        for (d, &gid) in gids.iter().enumerate() {
+        let store = Store::new(shards, shard_bits, rows, discovery.clone());
+        assert_eq!(store.edges.len(), discovery.len() * n);
+        for (d, &gid) in discovery.iter().enumerate() {
             assert_eq!(store.gid_of_dense(d), gid);
+            assert_eq!(store.dense_of_gid()[gid as usize], d as u32);
             let recorded = gid < 14;
             let row = &store.edges[d * n..(d + 1) * n];
             let child = if recorded { 0 } else { scc::NO_EDGE };

@@ -2,27 +2,29 @@
 //!
 //! Two engines over one graph representation:
 //!
-//! * [`tarjan_sccs`] — the iterative single-pass Tarjan used since the
-//!   engine rework, generic over an implicit successor function.  Exact,
-//!   sequential, and byte-for-byte deterministic: components are emitted
-//!   in reverse topological order.
+//! * [`tarjan`] — iterative single-pass Tarjan, generic over an implicit
+//!   successor function.  Exact, sequential and deterministic: it
+//!   returns the partition flat ([`Components`]: a component id per
+//!   node plus a members CSR), with components numbered in the order
+//!   Tarjan emits them, reverse topological.  The model checker's
+//!   fair-livelock pass uses it on every run.  [`tarjan_sccs`] and
+//!   [`tarjan_sccs_csr`] wrap it into one `Vec` per component.
 //! * [`parallel_sccs`] — a forward–backward (FW–BW) decomposition with
-//!   region coloring for the big Ok-verdict runs where the fair-livelock
-//!   pass dominates wall time.  Pick a pivot, compute its forward and
-//!   backward reachable sets inside the current region; the
-//!   intersection is one SCC, and the three remainders
-//!   (forward-only, backward-only, untouched) are independent
-//!   subproblems processed by a pool of workers.  Regions below
-//!   [`SEQ_REGION`] nodes fall back to sequential Tarjan, so the
-//!   recursion never degenerates on small fragments.
+//!   region coloring and trimming over a pool of workers.  Pick a
+//!   pivot, compute its forward and backward reachable sets inside the
+//!   current region; the intersection is one SCC, and the three
+//!   remainders (forward-only, backward-only, untouched) are
+//!   independent subproblems.  Regions below [`SEQ_REGION`] nodes fall
+//!   back to sequential Tarjan.  The model checker no longer calls it:
+//!   on its completion-free graphs, whose components are almost all
+//!   singletons, it measured slower than one Tarjan pass.
 //!
 //! Both operate on the same dense out-edge table ("CSR" here): a
 //! `Vec<u32>` of `n * d` entries where entry `v * d + k` is the target
 //! of node `v`'s `k`-th edge, or [`NO_EDGE`] when that edge is filtered
-//! out (the fair-livelock pass filters completion edges).  The caller
-//! builds the table once — regenerating each successor from interned
-//! bytes exactly once — instead of paying the regeneration on every
-//! algorithmic probe.
+//! out (the fair-livelock pass filters completion edges).  The model
+//! checker records that table during exploration, so decomposition
+//! never steps an automaton.
 //!
 //! The component *partition* the two engines compute is identical (it
 //! is a property of the graph); only the emission order differs, which
@@ -38,41 +40,96 @@ pub const NO_EDGE: u32 = u32::MAX;
 /// instead of further FW–BW splitting.
 const SEQ_REGION: usize = 8_192;
 
+/// Marks an unvisited node (`index`) or an unassigned one (`comp`).
+const NONE: u32 = u32::MAX;
+
+/// A graph's strongly-connected components in flat form: no heap
+/// allocation per component, which matters on graphs whose components
+/// are almost all singletons.
+#[derive(Debug)]
+pub struct Components {
+    /// Component id of every node.
+    comp: Vec<u32>,
+    /// Component `c`'s members are `members[starts[c]..starts[c + 1]]`;
+    /// `starts` has one entry more than there are components.
+    starts: Vec<u32>,
+    /// Every node once, grouped by component.
+    members: Vec<u32>,
+}
+
+impl Components {
+    /// Component id of every node.
+    #[must_use]
+    pub fn comp(&self) -> &[u32] {
+        &self.comp
+    }
+
+    /// Number of components.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// `true` when the graph has no node.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The members of component `c`.
+    #[must_use]
+    pub fn members(&self, c: usize) -> &[u32] {
+        &self.members[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+
+    /// The components in id order, as one `Vec` each.
+    #[must_use]
+    pub fn to_nested(&self) -> Vec<Vec<u32>> {
+        (0..self.len()).map(|c| self.members(c).to_vec()).collect()
+    }
+}
+
 /// Iterative Tarjan strongly-connected components over an implicit
 /// graph: node `v`'s candidate successors are `succ(v, k)` for
 /// `k < out_degree`, with `None` meaning "edge filtered out".
 ///
-/// Returns the list of components, each a list of node ids, in reverse
-/// topological order.
-pub fn tarjan_sccs(
+/// Components are numbered in emission order, which is reverse
+/// topological; each one lists its members in the order they leave
+/// Tarjan's stack.  A node is on that stack exactly while it is
+/// visited and not yet assigned a component, so no separate flag is
+/// kept, and a node's lowlink lives in its call frame only.
+pub fn tarjan(
     n: usize,
     out_degree: usize,
     mut succ: impl FnMut(u32, usize) -> Option<u32>,
-) -> Vec<Vec<u32>> {
+) -> Components {
     #[derive(Clone, Copy)]
     struct Frame {
         v: u32,
         edge: usize,
+        low: u32,
     }
 
-    let mut index = vec![u32::MAX; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
+    let mut index = vec![NONE; n];
+    let mut comp = vec![NONE; n];
+    let mut starts = vec![0u32];
+    let mut members: Vec<u32> = Vec::with_capacity(n);
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
-    let mut sccs: Vec<Vec<u32>> = Vec::new();
     let mut call_stack: Vec<Frame> = Vec::new();
 
     for root in 0..n as u32 {
-        if index[root as usize] != u32::MAX {
+        if index[root as usize] != NONE {
             continue;
         }
-        call_stack.push(Frame { v: root, edge: 0 });
         index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
+        call_stack.push(Frame {
+            v: root,
+            edge: 0,
+            low: next_index,
+        });
         next_index += 1;
         stack.push(root);
-        on_stack[root as usize] = true;
 
         while let Some(frame) = call_stack.last_mut() {
             let v = frame.v;
@@ -80,47 +137,69 @@ pub fn tarjan_sccs(
                 let k = frame.edge;
                 frame.edge += 1;
                 let Some(w) = succ(v, k) else { continue };
-                if index[w as usize] == u32::MAX {
+                let wi = index[w as usize];
+                if wi == NONE {
                     index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
+                    call_stack.push(Frame {
+                        v: w,
+                        edge: 0,
+                        low: next_index,
+                    });
                     next_index += 1;
                     stack.push(w);
-                    on_stack[w as usize] = true;
-                    call_stack.push(Frame { v: w, edge: 0 });
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
+                } else if comp[w as usize] == NONE {
+                    frame.low = frame.low.min(wi);
                 }
             } else {
+                let low = frame.low;
                 call_stack.pop();
-                if let Some(parent_frame) = call_stack.last() {
-                    let p = parent_frame.v;
-                    lowlink[p as usize] = lowlink[p as usize].min(lowlink[v as usize]);
+                if let Some(parent) = call_stack.last_mut() {
+                    parent.low = parent.low.min(low);
                 }
-                if lowlink[v as usize] == index[v as usize] {
-                    let mut scc = Vec::new();
+                if low == index[v as usize] {
+                    let c = starts.len() as u32 - 1;
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        scc.push(w);
+                        comp[w as usize] = c;
+                        members.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    sccs.push(scc);
+                    starts.push(members.len() as u32);
                 }
             }
         }
     }
-    sccs
+    Components {
+        comp,
+        starts,
+        members,
+    }
 }
 
-/// [`tarjan_sccs`] over a dense out-edge table ([`NO_EDGE`]-filtered).
-pub fn tarjan_sccs_csr(n: usize, d: usize, succ: &[u32]) -> Vec<Vec<u32>> {
+/// [`tarjan`] over a dense out-edge table ([`NO_EDGE`]-filtered).
+#[must_use]
+pub fn tarjan_csr(n: usize, d: usize, succ: &[u32]) -> Components {
     debug_assert_eq!(succ.len(), n * d);
-    tarjan_sccs(n, d, |v, k| {
+    tarjan(n, d, |v, k| {
         let w = succ[v as usize * d + k];
         (w != NO_EDGE).then_some(w)
     })
+}
+
+/// [`tarjan`] with one `Vec` per component, in emission order.
+pub fn tarjan_sccs(
+    n: usize,
+    out_degree: usize,
+    succ: impl FnMut(u32, usize) -> Option<u32>,
+) -> Vec<Vec<u32>> {
+    tarjan(n, out_degree, succ).to_nested()
+}
+
+/// [`tarjan_csr`] with one `Vec` per component, in emission order.
+pub fn tarjan_sccs_csr(n: usize, d: usize, succ: &[u32]) -> Vec<Vec<u32>> {
+    tarjan_csr(n, d, succ).to_nested()
 }
 
 /// One FW–BW subproblem: a region id, its member nodes, and how many
@@ -481,6 +560,106 @@ mod tests {
             }
         }
         succ
+    }
+
+    /// The nested-list Tarjan the flat one replaced, kept as the
+    /// reference for emission and member order.
+    fn nested_tarjan_oracle(
+        n: usize,
+        out_degree: usize,
+        mut succ: impl FnMut(u32, usize) -> Option<u32>,
+    ) -> Vec<Vec<u32>> {
+        let mut index = vec![u32::MAX; n];
+        let mut lowlink = vec![0u32; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut next_index = 0u32;
+        let mut sccs: Vec<Vec<u32>> = Vec::new();
+        let mut call_stack: Vec<(u32, usize)> = Vec::new();
+        for root in 0..n as u32 {
+            if index[root as usize] != u32::MAX {
+                continue;
+            }
+            call_stack.push((root, 0));
+            index[root as usize] = next_index;
+            lowlink[root as usize] = next_index;
+            next_index += 1;
+            stack.push(root);
+            on_stack[root as usize] = true;
+            while let Some(frame) = call_stack.last_mut() {
+                let v = frame.0;
+                if frame.1 < out_degree {
+                    let k = frame.1;
+                    frame.1 += 1;
+                    let Some(w) = succ(v, k) else { continue };
+                    if index[w as usize] == u32::MAX {
+                        index[w as usize] = next_index;
+                        lowlink[w as usize] = next_index;
+                        next_index += 1;
+                        stack.push(w);
+                        on_stack[w as usize] = true;
+                        call_stack.push((w, 0));
+                    } else if on_stack[w as usize] {
+                        lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
+                    }
+                } else {
+                    call_stack.pop();
+                    if let Some(&(p, _)) = call_stack.last() {
+                        lowlink[p as usize] = lowlink[p as usize].min(lowlink[v as usize]);
+                    }
+                    if lowlink[v as usize] == index[v as usize] {
+                        let mut scc = Vec::new();
+                        loop {
+                            let w = stack.pop().expect("tarjan stack underflow");
+                            on_stack[w as usize] = false;
+                            scc.push(w);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        sccs.push(scc);
+                    }
+                }
+            }
+        }
+        sccs
+    }
+
+    /// Flat Tarjan emits exactly the oracle's components, in the same
+    /// order and with members in the same order, and its `comp` ids
+    /// agree with the member lists.
+    fn assert_flat_matches_oracle(n: usize, d: usize, succ: &[u32]) {
+        let flat = tarjan_csr(n, d, succ);
+        let oracle = nested_tarjan_oracle(n, d, |v, k| {
+            let w = succ[v as usize * d + k];
+            (w != NO_EDGE).then_some(w)
+        });
+        assert_eq!(flat.to_nested(), oracle, "n {n}, d {d}");
+        assert_eq!(flat.members.len(), n);
+        for c in 0..flat.len() {
+            assert!(flat
+                .members(c)
+                .iter()
+                .all(|&v| flat.comp()[v as usize] == c as u32));
+        }
+    }
+
+    #[test]
+    fn flat_tarjan_reproduces_the_nested_order() {
+        // The hand-built graphs of the tests below…
+        assert_flat_matches_oracle(4, 1, &[1, 2, 0, NO_EDGE]);
+        assert_flat_matches_oracle(3, 1, &[1, 2, NO_EDGE]);
+        assert_flat_matches_oracle(3, 2, &[1, NO_EDGE, 0, NO_EDGE, NO_EDGE, NO_EDGE]);
+        assert_flat_matches_oracle(9, 1, &[1, 2, 0, 4, 5, 3, 7, 8, NO_EDGE]);
+        assert_flat_matches_oracle(0, 2, &[]);
+        // …and the random ones.
+        for seed in 0..12u64 {
+            let n = 50 + (seed as usize * 97) % 400;
+            let d = 1 + (seed as usize) % 4;
+            assert_flat_matches_oracle(n, d, &random_csr(seed, n, d, 60));
+        }
+        let n = 4 * SEQ_REGION;
+        assert_flat_matches_oracle(n, 2, &random_csr(0xC0FFEE, n, 2, 70));
     }
 
     #[test]

@@ -1,22 +1,27 @@
-//! Differential validation of the PR 3 engine rework: the work-stealing
-//! frontier and the parallel (FW–BW) fair-livelock SCC pass must
-//! reproduce the sequential engine's verdicts and counts on every
-//! automaton in this workspace.
+//! Differential validation of the work-stealing sharded frontier: a
+//! multi-worker run must reproduce the sequential engine's verdicts and
+//! counts on every automaton in this workspace.
 //!
 //! The contract under test:
 //!
 //! * the verdict kind is thread-count independent everywhere; state
 //!   counts, transition counts, and the orbit accounting additionally
 //!   so on completing (non-violating) runs;
-//! * the parallel SCC decomposition every multi-worker run uses never
-//!   changes a verdict kind, and reported witnesses stay valid;
+//! * on completing runs the whole report is thread-count independent —
+//!   witnesses, `max_pending_depth`, monitor and query results — except
+//!   clocks, steal counts and the shard layout's byte figures, because
+//!   the livelock pass numbers states in BFS discovery order;
 //! * the compressed arena reports strictly fewer record bytes per
 //!   state than the raw encodings it replaced.
 
+use std::time::Duration;
+
 use amx_core::{Alg1Automaton, Alg2Automaton, FreeSlotPolicy, MutexSpec};
 use amx_ids::PidPool;
-use amx_registers::Adversary;
-use amx_sim::mc::{McReport, ModelChecker, Symmetry};
+use amx_props::predicate;
+use amx_props::property::{monitor_for, scc_query_for};
+use amx_registers::{Adversary, Permutation};
+use amx_sim::mc::{CrashBudget, CrashMode, McReport, ModelChecker, Symmetry};
 use amx_sim::toys::{CasLock, NaiveFlagLock, PetersonTwo, SpinForever};
 use amx_sim::{Automaton, EncodeState, MemoryModel, Verdict};
 
@@ -37,7 +42,7 @@ fn alg2_automata(n: usize, m: usize) -> Vec<Alg2Automaton> {
 }
 
 /// Runs the same configuration sequentially and on 2, 3 and 4 workers
-/// (the sharded frontier plus the parallel SCC pass), under both
+/// (the sharded frontier), under both
 /// symmetry modes; checks the differential contract and returns the
 /// sequential reduced report for extra assertions.
 fn engine_differential<A, F>(make: F, model: MemoryModel, m: usize) -> McReport
@@ -151,8 +156,8 @@ fn algorithms_parallel_engine_differential() {
 
 #[test]
 fn forced_parallel_scc_livelock_witness_replays() {
-    // A livelock found by the parallel SCC decomposition of a
-    // multi-worker run must still carry a valid witness: replaying it
+    // A livelock found by a multi-worker run must still carry a valid
+    // witness: replaying it
     // concretely is a legal, violation-free execution that completes no
     // workload (it leads into a completion-free component).
     use amx_sim::{Runner, Scheduler, Stop, Workload};
@@ -231,4 +236,95 @@ fn steal_counter_is_consistent() {
     .unwrap();
     assert_eq!(seq.steal_count, 0);
     assert_eq!(seq.threads, 1);
+}
+
+/// A report with the clocks, the worker count and the steal counter
+/// zeroed, and — unless `layout` — the figures that depend on the shard
+/// layout (arena and seen-table bytes, spill traffic) too, rendered
+/// for comparison.
+fn non_timing(report: &McReport, layout: bool) -> String {
+    let mut r = report.clone();
+    r.wall_time = Duration::ZERO;
+    r.scc_wall_time = Duration::ZERO;
+    r.threads = 0;
+    r.steal_count = 0;
+    if !layout {
+        r.arena_bytes = 0;
+        r.arena_resident_bytes = 0;
+        r.arena_spilled_bytes = 0;
+        r.spill_faults = 0;
+        r.spill_evictions = 0;
+        r.seen_table_bytes = 0;
+    }
+    format!("{r:#?}")
+}
+
+#[test]
+fn whole_report_is_identical_at_one_two_and_three_threads() {
+    // Alg 1 (2, 3) with one stale-claims crash, and Alg 2 (2, 4): each
+    // has several livelock components, so which one the pass reports
+    // first — its witness, size and query answers — depends on how
+    // states are numbered.  One and several workers use different shard
+    // layouts; two and three workers share the 64-shard one, so there
+    // even the byte figures agree.
+    let alg1_run = |threads: usize| {
+        let spec = MutexSpec::rw_unchecked(2, 3);
+        let mut pool = PidPool::sequential();
+        let automata: Vec<Alg1Automaton> = (0..2)
+            .map(|_| Alg1Automaton::new(spec, pool.mint()))
+            .collect();
+        let perms = vec![Permutation::identity(3); 2];
+        let monitor = monitor_for(
+            &predicate::by_name("writer-collision").unwrap(),
+            &automata,
+            &perms,
+            false,
+        );
+        let query = scc_query_for(&predicate::by_name("full-view").unwrap(), &automata, &perms);
+        ModelChecker::with_automata(automata, MemoryModel::Rw, 3, &Adversary::Identity)
+            .unwrap()
+            .symmetry(Symmetry::Wreath)
+            .crashes(CrashBudget::total(1), CrashMode::StaleClaims)
+            .monitor(monitor)
+            .scc_query(query)
+            .threads(threads)
+            .run()
+            .unwrap()
+    };
+    let alg2_run = |threads: usize| {
+        ModelChecker::with_automata(
+            alg2_automata(2, 4),
+            MemoryModel::Rmw,
+            4,
+            &Adversary::Identity,
+        )
+        .unwrap()
+        .threads(threads)
+        .run()
+        .unwrap()
+    };
+    for (what, run) in [
+        (
+            "alg1(2,3) stale crash",
+            &alg1_run as &dyn Fn(usize) -> McReport,
+        ),
+        ("alg2(2,4)", &alg2_run),
+    ] {
+        let [one, two, three] = [1, 2, 3].map(run);
+        assert!(
+            matches!(one.verdict, Verdict::FairLivelock { .. }),
+            "{what}: {:?}",
+            one.verdict
+        );
+        assert_eq!(
+            non_timing(&one, false),
+            non_timing(&two, false),
+            "{what}: 1 vs 2 threads"
+        );
+        assert_eq!(
+            non_timing(&two, true),
+            non_timing(&three, true),
+            "{what}: 2 vs 3 threads"
+        );
+    }
 }

@@ -72,7 +72,7 @@ impl Drop for TempDir {
 
 /// Asserts the parts of two reports that must be bit-identical across
 /// engine configurations: verdict (including witness payloads), exact
-/// counts, and orbit accounting.
+/// counts, orbit accounting and the pending-depth maxima.
 fn assert_equivalent(a: &McReport, b: &McReport, what: &str) {
     assert_eq!(a.verdict, b.verdict, "{what}: verdict diverged");
     assert_eq!(a.states, b.states, "{what}: states diverged");
@@ -88,6 +88,10 @@ fn assert_equivalent(a: &McReport, b: &McReport, what: &str) {
     assert_eq!(
         a.acquisitions, b.acquisitions,
         "{what}: acquisitions diverged"
+    );
+    assert_eq!(
+        a.max_pending_depth, b.max_pending_depth,
+        "{what}: max_pending_depth diverged"
     );
 }
 
@@ -211,7 +215,9 @@ struct ResumeCase<'a> {
 /// after the k-th checkpoint — for every k the uninterrupted run writes
 /// — yields `Verdict::Interrupted`, and resuming from the on-disk
 /// checkpoint reproduces the uninterrupted report exactly (verdict with
-/// its witness and `scc_states`, and every count), including under a
+/// its witness and `scc_states`, every count, and `max_pending_depth`,
+/// whose running maxima and frontier depths the checkpoint carries),
+/// including under a
 /// starved resident budget, so the checkpoint write and the restore
 /// both cross the spill machinery.  Later halts restore more of the
 /// livelock edge table from disk, so a row the checkpoint drops or
